@@ -203,45 +203,36 @@ def ingest(
     from repro.stream.runner import StreamRunner
 
     resolved = _resolve_source(source, seed, max_retries=max_retries)
+    common = dict(
+        config=config,
+        policy=policy,
+        self_loops=self_loops,
+        policies=policies,
+        metrics=metrics,
+        batch_size=batch_size,
+    )
     if workers > 1:
         runner = ShardedRunner(
             resolved,
             workers=workers,
-            config=config,
             checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None,
             checkpoint_every=checkpoint_every,
             keep=keep,
-            policy=policy,
-            self_loops=self_loops,
-            policies=policies,
-            metrics=metrics,
-            batch_size=batch_size,
+            **common,
         )
-        if resume:
-            runner.resume()
-        stats = runner.run(max_records=max_records)
     else:
-        manager = (
-            CheckpointManager(checkpoint_dir, keep=keep)
-            if checkpoint_dir
-            else None
-        )
+        manager = CheckpointManager(checkpoint_dir, keep=keep) if checkpoint_dir else None
         runner = StreamRunner(
             resolved,
-            config=config,
             checkpoint_manager=manager,
             checkpoint_every=checkpoint_every if manager else 0,
-            policy=policy,
-            self_loops=self_loops,
-            policies=policies,
-            metrics=metrics,
-            batch_size=batch_size,
+            **common,
         )
-        if resume:
-            if manager is None:
-                raise ConfigurationError("resume=True needs a checkpoint_dir")
-            runner.resume()
-        stats = runner.run(max_records=max_records)
+    if resume:
+        if not checkpoint_dir:
+            raise ConfigurationError("resume=True needs a checkpoint_dir")
+        runner.resume()
+    stats = runner.run(max_records=max_records)
     return IngestReport(predictor=runner.predictor, stats=stats, runner=runner)
 
 
@@ -442,18 +433,19 @@ def evaluate(
     from repro.eval.candidates import sample_two_hop_pairs
     from repro.eval.experiments import accuracy_profile
     from repro.exact.oracle import ExactOracle
-    from repro.stream.runner import ContractViolation, coerce_record
+    from repro.stream.policies import ContractViolation, coerce_stream_record
 
     resolved = _resolve_source(source, seed)
     oracle = ExactOracle()
     predictor = build_predictor(config, method=method)
     for record in resolved.records(0):
         try:
-            edge = coerce_record(record, self_loops="drop")
+            parsed = coerce_stream_record(record, self_loops="drop")
         except ContractViolation:
             continue  # accuracy evaluation quarantines silently
-        if edge is not None:
-            predictor.update(edge.u, edge.v)
-            oracle.update(edge.u, edge.v)
+        # The predictor and oracle are append-only: deletes are skipped.
+        if parsed is not None and parsed.op == "add":
+            predictor.update(parsed.u, parsed.v)
+            oracle.update(parsed.u, parsed.v)
     candidate_pairs = sample_two_hop_pairs(oracle.graph, pairs, seed=seed)
     return accuracy_profile(predictor, oracle, candidate_pairs, list(measures))

@@ -290,7 +290,7 @@ def _add_metrics_arguments(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _ingest_guard(args: argparse.Namespace):
+def _ingest_guard(args: argparse.Namespace, config: SketchConfig):
     """The casebook :class:`StreamGuard` for ingest, or ``None`` when
     neither ``--case-policy`` nor ``--hub-degree-limit`` was given (the
     legacy parse-level contract)."""
@@ -302,7 +302,6 @@ def _ingest_guard(args: argparse.Namespace):
     policies = (
         PolicySet.parse(args.case_policy) if args.case_policy else PolicySet()
     )
-    ttl = float(getattr(args, "ttl", 0.0) or 0.0)
     return StreamGuard(
         policies,
         self_loops=args.self_loops,
@@ -311,7 +310,7 @@ def _ingest_guard(args: argparse.Namespace):
             if args.hub_degree_limit is not None
             else DEFAULT_HUB_DEGREE_LIMIT
         ),
-        supports_deletes=bool(getattr(args, "dynamic", False)) or ttl > 0.0,
+        supports_deletes=config.dynamic_mode,
     )
 
 
@@ -327,30 +326,23 @@ def _ingest_stat_rows(stats: dict) -> list:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    from repro.obs import MetricsRegistry
-    from repro.stream import (
-        CheckpointManager,
-        FileDeadLetters,
-        FileEdgeSource,
-        IteratorEdgeSource,
-        MemoryDeadLetters,
-        RetryingSource,
-        RetryPolicy,
-        StreamRunner,
-    )
+    """Serial ingest, or sharded parallel ingest under ``--workers N``.
 
-    if os.path.exists(args.source):
-        source = FileEdgeSource(args.source)
-    elif args.source in datasets.DATASETS:
-        source = IteratorEdgeSource(
-            datasets.load(args.source, seed=args.seed), name=f"dataset:{args.source}"
-        )
-    else:
-        known = ", ".join(datasets.dataset_names())
-        raise ReproError(
-            f"{args.source!r} is neither a registry dataset ({known}) nor a file path"
-        )
-    retrying = RetryingSource(source, RetryPolicy(max_attempts=args.max_retries))
+    Both runners share the admission contract, so the sink, policy and
+    self-loop knobs behave the same either way; sharded checkpoints
+    land in per-shard ``shard-NN/`` subdirectories of
+    ``--checkpoint-dir`` (what ``query --checkpoint-dir`` and
+    ``repro.api.open_engine`` load back).  Sharded ``--metrics-out``
+    records a final snapshot of the runner's registry (per-record
+    sampling would need a per-record hook the coordinator deliberately
+    does not pay for).
+    """
+    from repro.api import _resolve_source
+    from repro.obs import MetricsRegistry
+    from repro.parallel import ShardedRunner
+    from repro.stream import CheckpointManager, FileDeadLetters, MemoryDeadLetters, StreamRunner
+
+    source = _resolve_source(args.source, args.seed, max_retries=args.max_retries)
     if args.resume:
         # Resume preconditions are checked *before* CheckpointManager
         # runs (its constructor creates missing directories, which would
@@ -362,101 +354,61 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
                 f"--resume: checkpoint directory {args.checkpoint_dir!r} does not "
                 "exist (check the path, or run once without --resume to create it)"
             )
-    if args.workers > 1:
-        return _cmd_ingest_sharded(args, retrying)
     registry = MetricsRegistry()
     reporter = _metrics_reporter(args, registry)
-    manager = (
-        CheckpointManager(args.checkpoint_dir, keep=args.keep, metrics=registry)
-        if args.checkpoint_dir
-        else None
-    )
-    sink = FileDeadLetters(args.dead_letter) if args.dead_letter else MemoryDeadLetters()
-    runner = StreamRunner(
-        retrying,
-        config=_config_from_args(args),
-        checkpoint_manager=manager,
-        checkpoint_every=args.checkpoint_every if manager else 0,
-        dead_letters=sink,
+    config = _config_from_args(args)
+    common = dict(
+        config=config,
+        dead_letters=(
+            FileDeadLetters(args.dead_letter) if args.dead_letter else MemoryDeadLetters()
+        ),
         policy=args.policy,
         self_loops=args.self_loops,
-        guard=_ingest_guard(args),
+        guard=_ingest_guard(args, config),
         metrics=registry,
-        reporter=reporter,
         batch_size=args.batch_size,
     )
+    title = f"Ingest: {args.source}"
+    if args.workers > 1:
+        runner = ShardedRunner(
+            source,
+            workers=args.workers,
+            checkpoint_dir=args.checkpoint_dir or None,
+            checkpoint_every=args.checkpoint_every if args.checkpoint_dir else 0,
+            keep=args.keep,
+            **common,
+        )
+        title += f" ({args.workers} shard workers)"
+    else:
+        manager = (
+            CheckpointManager(args.checkpoint_dir, keep=args.keep, metrics=registry)
+            if args.checkpoint_dir
+            else None
+        )
+        runner = StreamRunner(
+            source,
+            checkpoint_manager=manager,
+            checkpoint_every=args.checkpoint_every if manager else 0,
+            reporter=reporter,
+            **common,
+        )
     if args.resume:
         if not runner.resume():
             raise ReproError(
                 f"--resume: no checkpoints found in {args.checkpoint_dir!r} "
                 "(run once without --resume to create the first generation)"
             )
-        print(f"resumed from generation {runner.resumed_from} at offset {runner.offset}")
+        if args.workers > 1:
+            print(f"resuming {args.workers} shards from offsets {runner.shard_offsets}")
+        else:
+            print(f"resumed from generation {runner.resumed_from} at offset {runner.offset}")
     try:
         stats = runner.run(max_records=args.max_records)
     finally:
         if reporter is not None:
             reporter.close()  # writes the final sample
     rows = _ingest_stat_rows(stats)
-    print(format_table(["metric", "value"], rows, title=f"Ingest: {args.source}"))
-    if args.metrics_out:
-        print(f"metrics: {reporter.samples_written} samples -> {args.metrics_out}")
-    return 0
-
-
-def _cmd_ingest_sharded(args: argparse.Namespace, source) -> int:
-    """The ``--workers N`` leg of ingest: sharded parallel ingestion.
-
-    The coordinator owns validation and dead-lettering, so the sink,
-    policy and self-loop knobs behave exactly as in the serial leg;
-    checkpoints land in per-shard ``shard-NN/`` subdirectories of
-    ``--checkpoint-dir`` (what ``query --checkpoint-dir`` and
-    ``repro.api.open_engine`` load back).  ``--metrics-out`` records a
-    final snapshot of the runner's registry (per-record sampling would
-    need a per-record hook the coordinator deliberately does not pay
-    for).
-    """
-    from repro.obs import MetricsRegistry
-    from repro.parallel import ShardedRunner
-    from repro.stream import FileDeadLetters, MemoryDeadLetters
-
-    registry = MetricsRegistry()
-    reporter = _metrics_reporter(args, registry)
-    sink = FileDeadLetters(args.dead_letter) if args.dead_letter else MemoryDeadLetters()
-    runner = ShardedRunner(
-        source,
-        workers=args.workers,
-        config=_config_from_args(args),
-        checkpoint_dir=args.checkpoint_dir or None,
-        checkpoint_every=args.checkpoint_every if args.checkpoint_dir else 0,
-        keep=args.keep,
-        dead_letters=sink,
-        policy=args.policy,
-        self_loops=args.self_loops,
-        guard=_ingest_guard(args),
-        metrics=registry,
-        batch_size=args.batch_size,
-    )
-    if args.resume:
-        if not runner.resume():
-            raise ReproError(
-                f"--resume: no shard checkpoints found in {args.checkpoint_dir!r} "
-                "(run once without --resume to create the first generations)"
-            )
-        print(f"resuming {args.workers} shards from offsets {runner.shard_offsets}")
-    try:
-        stats = runner.run(max_records=args.max_records)
-    finally:
-        if reporter is not None:
-            reporter.close()  # writes the final sample
-    rows = _ingest_stat_rows(stats)
-    print(
-        format_table(
-            ["metric", "value"],
-            rows,
-            title=f"Ingest: {args.source} ({args.workers} shard workers)",
-        )
-    )
+    print(format_table(["metric", "value"], rows, title=title))
     if args.metrics_out:
         print(f"metrics: {reporter.samples_written} samples -> {args.metrics_out}")
     return 0

@@ -12,11 +12,11 @@ stream.
 Division of labour:
 
 * the **coordinator** (this class, in the calling process) reads the
-  source, validates records through the *same*
-  :func:`~repro.stream.runner.coerce_record` contract as the serial
-  runner (dead-lettering centrally, so quarantine counters live in one
-  registry), assigns each valid edge to its shard, and routes chunks
-  into per-shard bounded queues;
+  source, admits records through the *same*
+  :class:`~repro.stream.admission.Admission` stage as the serial runner
+  (dead-lettering centrally, so quarantine counters live in one
+  registry), assigns each accepted record to its shard, and routes
+  chunks into per-shard bounded queues;
 * each **worker** (:func:`~repro.parallel.worker.shard_worker_main`)
   owns a full-config predictor shard plus its own
   :class:`~repro.stream.checkpoint.CheckpointManager` subdirectory, and
@@ -48,12 +48,13 @@ from typing import Callable, Dict, List, Optional, Union
 from repro.core.config import SketchConfig
 from repro.core.dynamic import merge_dynamic_shards
 from repro.core.predictor import MinHashLinkPredictor, merge_shards
-from repro.errors import ConfigurationError, DeadLetterError, WorkerCrashError
+from repro.errors import ConfigurationError, WorkerCrashError
 from repro.graph.stream import StreamRecord
 from repro.obs.registry import MetricsRegistry
 from repro.parallel.partition import shard_of
 from repro.parallel.worker import shard_directory, shard_worker_main
-from repro.stream.deadletter import DeadLetter, DeadLetterSink, MemoryDeadLetters, REASONS
+from repro.stream.admission import Admission
+from repro.stream.deadletter import DeadLetterSink
 from repro.stream.policies import PolicySet, StreamGuard
 from repro.stream.sources import EdgeSource, SourceRecord
 
@@ -85,9 +86,10 @@ class ShardedRunner:
         Per-shard resumable checkpoints: shard *i* writes rotated
         generations under ``<checkpoint_dir>/shard-0i/`` every
         ``checkpoint_every`` of its own records.
-    dead_letters / policy / self_loops:
-        The PR-1 quarantine contract, enforced coordinator-side by the
-        same validation code path as the serial runner.
+    dead_letters / policy / self_loops / policies / guard:
+        The admission contract, enforced coordinator-side by the same
+        :class:`~repro.stream.admission.Admission` stage as the serial
+        runner.
     metrics:
         A :class:`MetricsRegistry` for the ``ingest_*`` instruments.
         Use a dedicated registry per runner: the sharded
@@ -100,11 +102,9 @@ class ShardedRunner:
         blocks the coordinator after ``queue_depth`` undelivered
         chunks instead of buffering the stream unboundedly.
     batch_size:
-        Worker-side block ingest: ``>1`` makes each worker fold its
-        chunks through ``update_block`` in spans of up to this many
-        edges (never crossing a checkpoint boundary), ``0``/``1``
-        keeps the scalar per-record path.  Either way the merged
-        result is bit-identical to serial ingestion.
+        Each worker's span size, as for the serial runner (see
+        :class:`~repro.stream.admission.SpanFolder`); the merged result
+        is bit-identical to serial ingestion either way.
     mp_context:
         ``multiprocessing`` start-method name (``"fork"``/``"spawn"``);
         default is the platform default.  Workers are spawn-safe.
@@ -133,10 +133,6 @@ class ShardedRunner:
     ) -> None:
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if policy not in ("quarantine", "strict"):
-            raise ConfigurationError(f'policy must be "quarantine" or "strict", got {policy!r}')
-        if self_loops not in ("quarantine", "drop"):
-            raise ConfigurationError(f'self_loops must be "quarantine" or "drop", got {self_loops!r}')
         if checkpoint_every < 0:
             raise ConfigurationError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
         if checkpoint_every and not checkpoint_dir:
@@ -154,34 +150,6 @@ class ShardedRunner:
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = checkpoint_every
         self.keep = keep
-        self.dead_letters = dead_letters or MemoryDeadLetters()
-        self.policy = policy
-        self.self_loops = self_loops
-        if guard is not None and policies is not None:
-            raise ConfigurationError("pass policies or a pre-built guard, not both")
-        if guard is not None:
-            if guard.self_loops != self_loops:
-                raise ConfigurationError(
-                    "the guard's self_loops setting must match the runner's"
-                )
-            if guard.supports_deletes and not self.config.dynamic_mode:
-                raise ConfigurationError(
-                    "a delete-admitting guard needs a dynamic configuration; "
-                    "build with SketchConfig(dynamic_mode=True)"
-                )
-            self.guard = guard
-        else:
-            if isinstance(policies, str):
-                policies = PolicySet.parse(policies)
-            # Guard state lives coordinator-side: one process sees every
-            # record in stream order, so stream-level detection is
-            # deterministic and identical to the serial runner's.
-            self.guard = StreamGuard(
-                policies,
-                self_loops=self_loops,
-                supports_deletes=self.config.dynamic_mode,
-            )
-        self.policies = self.guard.policies
         self.chunk_records = chunk_records
         self.queue_depth = queue_depth
         self.batch_size = batch_size
@@ -210,33 +178,30 @@ class ShardedRunner:
         self._m_ok = [
             records.labels(outcome="ok", shard=str(shard)) for shard in range(workers)
         ]
-        self._m_dead = records.labels(outcome="dead_letter", shard="-")
-        self._m_dropped = records.labels(outcome="dropped", shard="-")
         self._m_replayed = records.labels(outcome="replayed", shard="-")
-        self._m_strict_error = records.labels(outcome="strict_error", shard="-")
-        self._m_norm_removed = records.labels(outcome="normalized", shard="-")
-        self._m_dead_reasons = self.metrics.counter(
-            "ingest_dead_letters_total",
-            "Quarantined records by contract-violation reason",
-            labelnames=("reason",),
+        # Guard state lives coordinator-side: one process sees every
+        # record in stream order, so stream-level detection is
+        # deterministic and identical to the serial runner's.
+        self.admission = Admission(
+            source,
+            self.metrics,
+            records,
+            dynamic=self.config.dynamic_mode,
+            reject_labels={"shard": "-"},
+            dead_letters=dead_letters,
+            policy=policy,
+            self_loops=self_loops,
+            policies=policies,
+            guard=guard,
         )
-        self._m_normalized = self.metrics.counter(
-            "ingest_normalized_total",
-            "Normalize-mode repairs applied, by casebook case",
-            labelnames=("reason",),
-        )
+        self.guard = self.admission.guard
+        self.dead_letters = self.admission.dead_letters
         self._m_checkpoints = self.metrics.counter(
             "ingest_checkpoints_written_total",
             "Checkpoint generations written across all shards",
         )
         self._m_merge_seconds = self.metrics.histogram(
             "shard_merge_seconds", "Wall seconds reducing shard predictors via merge()"
-        )
-        self._m_run_seconds = self.metrics.counter(
-            "ingest_run_seconds_total", "Wall seconds spent inside run()"
-        )
-        self._m_rate = self.metrics.gauge(
-            "ingest_records_per_second", "Consumption rate of the most recent run() call"
         )
         self.metrics.gauge(
             "ingest_workers", "Shard worker processes of this runner"
@@ -248,39 +213,9 @@ class ShardedRunner:
             "ingest_vertices", "Vertices sketched by the merged predictor"
         ).set_function(lambda: self.predictor.vertex_count if self.predictor else 0)
 
-    # -- legacy counter views (parity with StreamRunner) ----------------
-
     @property
     def records_ok(self) -> int:
-        return int(sum(handle.value for handle in self._m_ok))
-
-    @property
-    def dead_lettered(self) -> int:
-        return int(self._m_dead.value)
-
-    @property
-    def dropped(self) -> int:
-        return int(self._m_dropped.value)
-
-    @property
-    def replayed(self) -> int:
-        return int(self._m_replayed.value)
-
-    @property
-    def records_in(self) -> int:
-        """Records consumed this runner's lifetime, every outcome included."""
-        return (
-            self.records_ok
-            + self.dead_lettered
-            + self.dropped
-            + self.replayed
-            + int(self._m_norm_removed.value)
-            + int(self._m_strict_error.value)
-        )
-
-    @property
-    def checkpoints_written(self) -> int:
-        return int(self._m_checkpoints.value)
+        return self.admission.records_ok
 
     # ------------------------------------------------------------------
     # Resume
@@ -296,7 +231,7 @@ class ShardedRunner:
         """
         if self.checkpoint_dir is None:
             raise ConfigurationError("resume() needs a checkpoint_dir")
-        if self._ran or self.records_in:
+        if self._ran:  # only run() consumes records
             raise ConfigurationError("resume() after records were consumed would double-count")
         self._resume_requested = True
         return any(
@@ -326,11 +261,7 @@ class ShardedRunner:
             )
         self._ran = True
         started = self.clock()
-        context = (
-            multiprocessing.get_context(self.mp_context)
-            if self.mp_context
-            else multiprocessing.get_context()
-        )
+        context = multiprocessing.get_context(self.mp_context)  # None: the default
         self._task_queues = [
             context.Queue(maxsize=self.queue_depth) for _ in range(self.workers)
         ]
@@ -360,16 +291,20 @@ class ShardedRunner:
             process.start()
         consumed = 0
         try:
-            self._collect_ready()
+            self._collect(self._ready)
             start_offset = min(self.shard_offsets)
             self.offset = start_offset
             buffers: List[list] = [[] for _ in range(self.workers)]
             exhausted = True
+            admit = self.admission.admit
             for record in self.source.records(start_offset):
                 if max_records is not None and consumed >= max_records:
                     exhausted = False
                     break
-                self._consume(record, buffers)
+                accepted = admit(record)
+                if accepted is not None:
+                    self._route(record, accepted, buffers)
+                self.offset = record.offset + 1
                 consumed += 1
             for shard, buffer in enumerate(buffers):
                 if buffer:
@@ -378,7 +313,7 @@ class ShardedRunner:
             for shard in range(self.workers):
                 self._put(shard, sentinel)
             self.source_exhausted = exhausted
-            self._collect_done()
+            self._collect(self._done)
         except BaseException:
             self._abort()
             raise
@@ -386,58 +321,8 @@ class ShardedRunner:
             for process in self.processes:
                 process.join(timeout=5.0)
         self._fold_results()
-        elapsed = self.clock() - started
-        self._m_run_seconds.inc(elapsed)
-        if elapsed > 0:
-            self._m_rate.set(consumed / elapsed)
+        self.admission.ran(consumed, self.clock() - started)
         return self.stats()
-
-    def _consume(self, record: SourceRecord, buffers: List[list]) -> None:
-        verdict = self.guard.evaluate(record)
-        disposition = verdict.disposition
-        if disposition == "ok":
-            self._route(record, self._accepted_record(verdict), buffers)
-        elif disposition == "normalized":
-            for case in verdict.cases:
-                self._m_normalized.labels(case).inc()
-            if verdict.edge is not None:
-                self._route(record, self._accepted_record(verdict), buffers)
-            else:
-                self._m_norm_removed.inc()  # the repair was removal
-        elif disposition == "drop":
-            self._m_dropped.inc()  # silently dropped self-loop
-        elif disposition == "strict" or self.policy == "strict":
-            self._m_strict_error.inc()
-            raise DeadLetterError(
-                f"offset {record.offset}"
-                + (f" (line {record.line_number})" if record.line_number else "")
-                + f": {verdict.detail}",
-                reason=verdict.reason,
-                offset=record.offset,
-            )
-        else:  # quarantine
-            raw = record.value if isinstance(record.value, str) else repr(record.value)
-            self.dead_letters.record(
-                DeadLetter(
-                    offset=record.offset,
-                    reason=verdict.reason,
-                    raw=raw,
-                    line_number=record.line_number,
-                    detail=verdict.detail,
-                )
-            )
-            self._m_dead.inc()
-            self._m_dead_reasons.labels(verdict.reason).inc()
-        self.offset = record.offset + 1
-
-    @staticmethod
-    def _accepted_record(verdict) -> StreamRecord:
-        """The typed record behind an accepting verdict (synthesized
-        from the legacy edge view for guards predating the field)."""
-        if verdict.record is not None:
-            return verdict.record
-        edge = verdict.edge
-        return StreamRecord.add_edge(edge.u, edge.v, edge.timestamp)
 
     def _route(
         self, record: SourceRecord, accepted: StreamRecord, buffers: List[list]
@@ -520,15 +405,9 @@ class ShardedRunner:
                     exitcode=process.exitcode,
                 )
 
-    def _collect_ready(self) -> None:
-        while len(self._ready) < self.workers:
-            try:
-                self._dispatch(self._result_queue.get(timeout=_POLL_SECONDS))
-            except queue_module.Empty:
-                self._check_alive()
-
-    def _collect_done(self) -> None:
-        while len(self._done) < self.workers:
+    def _collect(self, replies: Dict[int, object]) -> None:
+        """Dispatch results until every worker has filled ``replies``."""
+        while len(replies) < self.workers:
             try:
                 self._dispatch(self._result_queue.get(timeout=_POLL_SECONDS))
             except queue_module.Empty:
@@ -571,55 +450,22 @@ class ShardedRunner:
         return [self._done[shard]["predictor"] for shard in range(self.workers)]
 
     def dead_letter_reasons(self) -> Dict[str, int]:
-        """Per-reason quarantine counts (stably ordered, defensive copy)."""
-        by_reason = {
-            labels.get("reason", ""): int(series.value)
-            for labels, series in self._m_dead_reasons.series()
-        }
-        ordered = {reason: by_reason[reason] for reason in REASONS if by_reason.get(reason)}
-        for reason, count in by_reason.items():
-            if count and reason not in ordered:
-                ordered[reason] = count
-        return ordered
-
-    def normalized_reasons(self) -> Dict[str, int]:
-        """Per-case counts of applied normalize-mode repairs (stably
-        ordered by the reason vocabulary, defensive copy)."""
-        by_reason = {
-            labels.get("reason", ""): int(series.value)
-            for labels, series in self._m_normalized.series()
-        }
-        ordered = {reason: by_reason[reason] for reason in REASONS if by_reason.get(reason)}
-        for reason, count in by_reason.items():
-            if count and reason not in ordered:
-                ordered[reason] = count
-        return ordered
+        """Per-reason quarantine counts (see :class:`Admission`)."""
+        return self.admission.dead_letter_reasons()
 
     def stats(self) -> Dict[str, object]:
         """Runner health as a flat dict, mirroring
         :meth:`StreamRunner.stats <repro.stream.runner.StreamRunner.stats>`
         with the sharding extras (per-shard offsets/records, merge
         latency).  A defensive snapshot — mutate freely."""
-        dead_reasons = self.dead_letter_reasons()
-        norm_reasons = self.normalized_reasons()
         return {
             "source": self.source.name,
-            "policy": self.policy,
+            "policy": self.admission.policy,
             "workers": self.workers,
             "offset": self.offset,
-            "records_in": self.records_in,
-            "records_ok": self.records_ok,
-            "dead_lettered": self.dead_lettered,
-            "dead_letter_reasons": dead_reasons,
-            "dropped": self.dropped,
-            "normalized": int(sum(norm_reasons.values())),
-            "normalized_reasons": norm_reasons,
-            # Guard-detected duplicate arrivals (casebook policies only;
-            # parity with StreamRunner.stats).
-            "duplicate_edges_detected": dead_reasons.get("duplicate_edge", 0)
-            + norm_reasons.get("duplicate_edge", 0),
-            "replayed": self.replayed,
-            "checkpoints_written": self.checkpoints_written,
+            **self.admission.stats(),
+            "replayed": int(self._m_replayed.value),
+            "checkpoints_written": int(self._m_checkpoints.value),
             "shard_offsets": list(self.shard_offsets),
             "shard_records": list(self.shard_records),
             "resumed_generations": list(self.resumed_generations),

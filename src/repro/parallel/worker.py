@@ -40,6 +40,7 @@ from repro.core.config import SketchConfig
 from repro.core.dynamic import DynamicMinHashPredictor
 from repro.errors import WorkerCrashError
 from repro.core.predictor import MinHashLinkPredictor
+from repro.stream.admission import SpanFolder
 from repro.stream.checkpoint import CheckpointManager
 
 __all__ = ["shard_worker_main", "shard_directory"]
@@ -63,12 +64,10 @@ def shard_worker_main(
 ) -> None:
     """Entry point of one shard worker process (top-level: spawn-safe).
 
-    ``batch_size > 1`` folds each chunk's eligible edges through the
-    block-ingest kernel
-    (:meth:`~repro.core.predictor.MinHashLinkPredictor.update_block`)
-    in spans that never cross a checkpoint boundary — checkpoints land
-    at exactly the same record offsets as scalar ingestion, so crash
-    recovery stays bit-identical.
+    ``batch_size`` is the span size of the shard's
+    :class:`~repro.stream.admission.SpanFolder` (the serial runner's
+    sink), flushed at every checkpoint boundary so checkpoints land at
+    the scalar offsets and crash recovery stays bit-identical.
     """
     try:
         manager = None
@@ -90,82 +89,32 @@ def shard_worker_main(
                 generation = checkpoint.generation
         result_queue.put(("ready", shard, offset, generation))
 
+        fold = SpanFolder(predictor, batch_size)
         records_ok = 0
         checkpoints_written = 0
         since_checkpoint = 0
-        halted = False
         while True:
             message = task_queue.get()
             kind = message[0]
             if kind == "edges":
-                if batch_size > 1:
-                    eligible = [
-                        entry for entry in message[1] if entry[0] >= offset
-                    ]  # replayed records are already in a checkpoint
-                    applied = 0
-                    while applied < len(eligible):
-                        take = min(batch_size, len(eligible) - applied)
-                        if checkpoint_every:
-                            take = min(take, checkpoint_every - since_checkpoint)
-                        span = eligible[applied : applied + take]
-                        if dynamic:
-                            # The batched kernel applies one op per
-                            # call: clip the span to its leading
-                            # homogeneous-op run.
-                            span_op = span[0][3]
-                            run = 1
-                            while run < len(span) and span[run][3] == span_op:
-                                run += 1
-                            span = span[:run]
-                            take = run
-                            fold = (
-                                predictor.delete_block
-                                if span_op
-                                else predictor.update_block
-                            )
-                            fold(
-                                [entry[1] for entry in span],
-                                [entry[2] for entry in span],
-                                [entry[4] for entry in span],
-                            )
-                        else:
-                            predictor.update_block(
-                                [entry[1] for entry in span],
-                                [entry[2] for entry in span],
-                            )
-                        offset = span[-1][0] + 1
-                        records_ok += take
-                        since_checkpoint += take
-                        applied += take
-                        if checkpoint_every and since_checkpoint >= checkpoint_every:
-                            manager.save(predictor, offset)
-                            checkpoints_written += 1
-                            since_checkpoint = 0
-                    continue
                 for record_offset, u, v, op, timestamp in message[1]:
                     if record_offset < offset:
                         continue  # replayed record already in a checkpoint
-                    if dynamic:
-                        if op:
-                            predictor.delete(u, v, timestamp)
-                        else:
-                            predictor.update(u, v, timestamp)
-                    else:
-                        predictor.update(u, v)
+                    fold.add(op == 1, u, v, timestamp)
                     offset = record_offset + 1
                     records_ok += 1
                     since_checkpoint += 1
                     if checkpoint_every and since_checkpoint >= checkpoint_every:
+                        fold.flush()
                         manager.save(predictor, offset)
                         checkpoints_written += 1
                         since_checkpoint = 0
-            elif kind == "finish":
-                if manager is not None and since_checkpoint:
+            elif kind in ("finish", "halt"):
+                fold.flush()  # the reported predictor reflects every record
+                halted = kind == "halt"
+                if not halted and manager is not None and since_checkpoint:
                     manager.save(predictor, offset)
                     checkpoints_written += 1
-                break
-            elif kind == "halt":
-                halted = True
                 break
             else:  # pragma: no cover - protocol misuse is a coordinator bug
                 raise WorkerCrashError(

@@ -22,6 +22,9 @@ runtime:
 * :mod:`~repro.stream.casebook` — the adversarial input casebook
   itself (:data:`CASEBOOK`, :class:`SyntheticCorpusGenerator`,
   :func:`replay_dead_letters`, :func:`check_casebook`),
+* :mod:`~repro.stream.admission` — :class:`~repro.stream.admission.
+  Admission`, the record contract every ingest path shares
+  (``source → Admission → sink``), and its ``SpanFolder`` sink,
 * :mod:`~repro.stream.runner` — :class:`StreamRunner`, the consumer
   loop tying it together with exact crash recovery, and
 * :mod:`~repro.stream.faults` — :class:`FaultInjector`, the seeded

@@ -37,6 +37,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.core.config import SketchConfig
 from repro.errors import ConfigurationError
+from repro.stream.admission import SpanFolder
 from repro.stream.deadletter import (
     DeadLetter,
     MemoryDeadLetters,
@@ -189,7 +190,7 @@ def _disposition_of(verdict) -> str:
     if verdict.disposition == "ok":
         return "applied"
     if verdict.disposition == "normalized":
-        return "applied" if verdict.edge is not None else "dropped"
+        return "applied" if verdict.record is not None else "dropped"
     if verdict.disposition == "drop":
         return "dropped"
     if verdict.disposition == "strict":
@@ -492,18 +493,16 @@ def replay_dead_letters(
     active = policies if policies is not None else PolicySet.uniform("normalize")
     applied = removed = 0
     still: Dict[str, int] = {}
+    # The runners' sink, record by record: a dynamic predictor replays
+    # the typed operation (a repaired record may be a retraction).
+    fold = SpanFolder(predictor, batch_size=0)
     for letter in sorted(letters, key=lambda entry: entry.offset):
         record = SourceRecord(letter.offset, letter.raw, letter.line_number)
         verdict = guard.evaluate(record, policies=active)
         outcome = _disposition_of(verdict)
         if outcome == "applied":
             typed = verdict.record
-            if typed is not None and hasattr(predictor, "apply"):
-                # A dynamic predictor replays the typed operation (a
-                # repaired record may be a retraction, not an add).
-                predictor.apply(typed)
-            else:
-                predictor.update(verdict.edge.u, verdict.edge.v)
+            fold.add(typed.op == "delete", typed.u, typed.v, typed.timestamp)
             applied += 1
         elif outcome == "dropped":
             removed += 1
@@ -643,7 +642,8 @@ def check_casebook(
             ].expected[mode]
             rows.append(CaseModeRow(case, mode, expected, total, matched))
 
-    # -- convergence: normalize-everything ----------------------------
+    # -- convergence: normalize-everything, and quarantine followed by
+    # a dead-letter replay under normalize, each through both runners --
     hostile = [line.text for line in corpus]
     clean = [line.clean_text for line in corpus if line.clean_text is not None]
     reference = StreamRunner(
@@ -652,61 +652,40 @@ def check_casebook(
     reference.run()
     clean_print = sketch_fingerprint(reference.predictor)
 
-    normalize_runner = StreamRunner(
-        IteratorEdgeSource(hostile, name="hostile"),
-        config=config,
-        guard=generator.guard(PolicySet.uniform("normalize")),
-    )
-    normalize_runner.run()
-    normalize_converged = sketch_fingerprint(normalize_runner.predictor) == clean_print
+    def converges(runner_class, **options) -> Tuple[bool, bool]:
+        normalize_runner = runner_class(
+            IteratorEdgeSource(hostile, name="hostile"),
+            config=config,
+            guard=generator.guard(PolicySet.uniform("normalize")),
+            **options,
+        )
+        normalize_runner.run()
+        sink = MemoryDeadLetters(capacity=len(hostile) + 1)
+        quarantine_runner = runner_class(
+            IteratorEdgeSource(hostile, name="hostile"),
+            config=config,
+            dead_letters=sink,
+            guard=generator.guard(PolicySet.uniform("quarantine")),
+            **options,
+        )
+        quarantine_runner.run()
+        replay_dead_letters(
+            sink.entries,
+            guard=quarantine_runner.guard,
+            predictor=quarantine_runner.predictor,
+            policies=PolicySet.uniform("normalize"),
+        )
+        return (
+            sketch_fingerprint(normalize_runner.predictor) == clean_print,
+            sketch_fingerprint(quarantine_runner.predictor) == clean_print,
+        )
 
-    # -- convergence: quarantine, then replay under normalize ---------
-    sink = MemoryDeadLetters(capacity=len(hostile) + 1)
-    quarantine_runner = StreamRunner(
-        IteratorEdgeSource(hostile, name="hostile"),
-        config=config,
-        dead_letters=sink,
-        guard=generator.guard(PolicySet.uniform("quarantine")),
-    )
-    quarantine_runner.run()
-    replay_dead_letters(
-        sink.entries,
-        guard=quarantine_runner.guard,
-        predictor=quarantine_runner.predictor,
-        policies=PolicySet.uniform("normalize"),
-    )
-    replay_converged = sketch_fingerprint(quarantine_runner.predictor) == clean_print
-
-    # -- the same two proofs through the sharded runner ---------------
+    normalize_converged, replay_converged = converges(StreamRunner)
     sharded_normalize = sharded_replay = None
     if workers > 1:
         from repro.parallel import ShardedRunner
 
-        sharded = ShardedRunner(
-            IteratorEdgeSource(hostile, name="hostile"),
-            workers=workers,
-            config=config,
-            guard=generator.guard(PolicySet.uniform("normalize")),
-        )
-        sharded.run()
-        sharded_normalize = sketch_fingerprint(sharded.predictor) == clean_print
-
-        shard_sink = MemoryDeadLetters(capacity=len(hostile) + 1)
-        sharded_q = ShardedRunner(
-            IteratorEdgeSource(hostile, name="hostile"),
-            workers=workers,
-            config=config,
-            dead_letters=shard_sink,
-            guard=generator.guard(PolicySet.uniform("quarantine")),
-        )
-        sharded_q.run()
-        replay_dead_letters(
-            shard_sink.entries,
-            guard=sharded_q.guard,
-            predictor=sharded_q.predictor,
-            policies=PolicySet.uniform("normalize"),
-        )
-        sharded_replay = sketch_fingerprint(sharded_q.predictor) == clean_print
+        sharded_normalize, sharded_replay = converges(ShardedRunner, workers=workers)
 
     return CasebookReport(
         rows=rows,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Union
 
 __all__ = [
     "DeadLetter",
@@ -29,6 +29,7 @@ __all__ = [
     "MemoryDeadLetters",
     "FileDeadLetters",
     "REASONS",
+    "ordered_by_reason",
     "read_dead_letters",
 ]
 
@@ -62,6 +63,17 @@ REASONS = (
 PathLike = Union[str, Path]
 
 
+def ordered_by_reason(counts: Mapping[str, int]) -> Dict[str, int]:
+    """The non-zero per-reason ``counts`` in vocabulary order; unknown
+    reasons (future extensions) trail in insertion order.  A fresh dict
+    — a caller mutating it cannot corrupt the counts behind it."""
+    ordered = {reason: counts[reason] for reason in REASONS if counts.get(reason)}
+    for reason, count in counts.items():
+        if count and reason not in ordered:
+            ordered[reason] = count
+    return ordered
+
+
 class DeadLetter(NamedTuple):
     """One quarantined record with enough context to triage it."""
 
@@ -91,12 +103,7 @@ class DeadLetterSink:
 
     def summary(self) -> Dict[str, int]:
         """Per-reason counts, stably ordered by the reason vocabulary."""
-        ordered = {reason: self.counts[reason] for reason in REASONS if self.counts[reason]}
-        # Unknown reasons (future extensions) trail in insertion order.
-        for reason, count in self.counts.items():
-            if reason not in ordered:
-                ordered[reason] = count
-        return ordered
+        return ordered_by_reason(self.counts)
 
 
 class MemoryDeadLetters(DeadLetterSink):

@@ -25,11 +25,9 @@ in one of three modes:
 
 Two layers cooperate:
 
-* **parse level** — :func:`coerce_stream_record` (shared verbatim by
-  the serial :class:`~repro.stream.runner.StreamRunner` and the sharded
-  coordinator in :mod:`repro.parallel`) validates one raw record via
-  :func:`repro.graph.io.parse_stream_record`, coercing every legacy
-  shape — text line, ``(u, v[, t])`` tuple, :class:`Edge` — into a
+* **parse level** — :func:`coerce_stream_record` validates one raw
+  record via :func:`repro.graph.io.parse_stream_record`, coercing every
+  accepted shape — text line, ``(u, v[, t])`` tuple, ``Edge`` — into a
   typed :class:`~repro.graph.stream.StreamRecord`;
 * **stream level** — :class:`StreamGuard` additionally tracks
   cross-record state (seen-edge set, per-vertex degrees, the timestamp
@@ -52,7 +50,7 @@ from typing import Dict, Mapping, NamedTuple, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError, StreamFormatError
 from repro.graph.io import OP_TOKENS, parse_stream_record
-from repro.graph.stream import OPS, Edge, StreamRecord
+from repro.graph.stream import OPS, StreamRecord
 from repro.stream.deadletter import REASONS
 from repro.stream.sources import SourceRecord
 
@@ -65,7 +63,6 @@ __all__ = [
     "GuardVerdict",
     "StreamGuard",
     "ContractViolation",
-    "coerce_record",
     "coerce_stream_record",
 ]
 
@@ -110,11 +107,10 @@ _ALIEN_SPLIT = re.compile(r"[\s,;|]+")
 class ContractViolation(Exception):
     """A record failed validation (reason + human detail).
 
-    Raised by :func:`coerce_record`; consumers (the serial
-    :class:`~repro.stream.runner.StreamRunner` and the sharded
-    coordinator in :mod:`repro.parallel`) translate it into a
-    dead-letter entry or a :class:`~repro.errors.DeadLetterError` per
-    their policy.
+    Raised by :func:`coerce_stream_record`; :class:`StreamGuard` turns
+    it into a verdict, and the
+    :class:`~repro.stream.admission.Admission` stage into a dead-letter
+    entry or a :class:`~repro.errors.DeadLetterError` per its policy.
     """
 
     def __init__(self, reason: str, detail: str) -> None:
@@ -147,23 +143,22 @@ def _coerce_timestamp(raw: object, value: object, field: str = "timestamp") -> f
 
 
 def coerce_stream_record(
-    record: SourceRecord,
-    self_loops: str = "quarantine",
-    accept_ops: bool = True,
+    record: SourceRecord, self_loops: str = "quarantine"
 ) -> Optional[StreamRecord]:
     """Validate one raw record into a typed :class:`StreamRecord`.
 
-    The single record-contract implementation shared by the serial
-    runner and the sharded coordinator — both paths must accept and
-    reject *exactly* the same records or parallel ingestion could not
-    be bit-identical to serial.  Accepted input shapes:
+    The single record-contract implementation behind every
+    :class:`StreamGuard` — the serial runner and the sharded
+    coordinator admit records through one guard-backed
+    :class:`~repro.stream.admission.Admission` stage, so both accept and
+    reject *exactly* the same records (parallel ingestion could not be
+    bit-identical to serial otherwise).  Accepted input shapes:
 
-    * a text line (the full dynamic grammar of
-      :func:`repro.graph.io.parse_stream_record` when ``accept_ops``,
-      else the legacy append-only grammar);
+    * a text line (the dynamic grammar of
+      :func:`repro.graph.io.parse_stream_record`);
     * a :class:`StreamRecord` (fields are validated, not trusted);
-    * an :class:`Edge` or a ``(u, v[, t])`` tuple/list — the legacy
-      shapes, coerced to ``op="add"`` records (the back-compat shim).
+    * an :class:`~repro.graph.stream.Edge` or a ``(u, v[, t])``
+      tuple/list, coerced to an ``op="add"`` record.
 
     ``None`` means "drop silently" (a self-loop under
     ``self_loops="drop"``); contract violations raise
@@ -176,7 +171,6 @@ def coerce_stream_record(
                 value,
                 line_number=record.line_number,
                 default_timestamp=float(record.offset),
-                accept_ops=accept_ops,
             )
         except StreamFormatError as error:
             raise ContractViolation(error.reason or "bad_arity", str(error)) from None
@@ -211,27 +205,6 @@ def coerce_stream_record(
             return None
         raise ContractViolation("self_loop", f"self-loop on vertex {parsed.u}")
     return parsed
-
-
-def coerce_record(record: SourceRecord, self_loops: str = "quarantine") -> Optional[Edge]:
-    """Validate one raw record into an :class:`Edge` (or ``None``).
-
-    Back-compat wrapper over :func:`coerce_stream_record` with the
-    legacy append-only contract: text lines use the op-less grammar and
-    a structured ``delete`` record is a contract violation
-    (``unsupported_delete``) because an :class:`Edge` cannot express
-    the operation.  Callers that understand operations coerce stream
-    records instead.
-    """
-    parsed = coerce_stream_record(record, self_loops, accept_ops=False)
-    if parsed is None:
-        return None
-    if parsed.op != "add":
-        raise ContractViolation(
-            "unsupported_delete",
-            f"delete of edge ({parsed.u}, {parsed.v}) reached an append-only consumer",
-        )
-    return parsed.edge
 
 
 class PolicySet:
@@ -321,9 +294,9 @@ class GuardVerdict(NamedTuple):
 
     ``disposition`` is one of:
 
-    * ``"ok"`` — clean record, ``edge`` is set;
+    * ``"ok"`` — clean record, ``record`` is set;
     * ``"normalized"`` — one or more repairs applied (``cases`` lists
-      them); ``edge`` is set when the repair preserved the record,
+      them); ``record`` is set when the repair preserved the record,
       ``None`` when the repair *was* removal (duplicate, excess hub
       edge, dropped self-loop);
     * ``"drop"`` — silent drop outside any policy (legacy
@@ -331,14 +304,10 @@ class GuardVerdict(NamedTuple):
     * ``"quarantine"`` — dead-letter with ``reason``/``detail``;
     * ``"strict"`` — the case's mode demands failing the stream.
 
-    ``record`` is the typed operation the verdict is about (set
-    whenever ``edge`` is — ``edge`` stays the legacy view consumers
-    predating the record redesign read; op-aware consumers read
-    ``record.op``).
+    ``record`` is the typed, possibly repaired operation to apply.
     """
 
     disposition: str
-    edge: Optional[Edge]
     reason: Optional[str]
     detail: str
     cases: Tuple[str, ...]
@@ -348,10 +317,10 @@ class GuardVerdict(NamedTuple):
 class StreamGuard:
     """Stateful casebook enforcement for one logical stream.
 
-    Wraps :func:`coerce_record` with per-case policies and the
+    Wraps :func:`coerce_stream_record` with per-case policies and the
     cross-record detectors.  One guard instance *is* the stream's
-    memory: the serial runner and the sharded coordinator each own one,
-    and a dead-letter replay must reuse the original guard so the
+    memory: each runner's :class:`~repro.stream.admission.Admission`
+    stage owns one, and a dead-letter replay must reuse the original guard so the
     replayed records are judged against the already-ingested state
     (otherwise a quarantined duplicate would be re-accepted).
 
@@ -423,28 +392,26 @@ class StreamGuard:
             parsed = coerce_stream_record(record, self.self_loops)
         except ContractViolation as violation:
             if active is None:
-                return GuardVerdict("quarantine", None, violation.reason, violation.detail, ())
+                return GuardVerdict("quarantine", violation.reason, violation.detail, ())
             return self._parse_verdict(record, violation, active)
         if parsed is None:
-            return GuardVerdict("drop", None, "self_loop", "", ())
+            return GuardVerdict("drop", "self_loop", "", ())
         if active is None:
             if parsed.op == "delete" and not self.supports_deletes:
                 return GuardVerdict(
-                    "quarantine", None, "unsupported_delete",
+                    "quarantine", "unsupported_delete",
                     f"delete of edge ({parsed.u}, {parsed.v}) reached an "
                     "append-only consumer", (),
                 )
-            return GuardVerdict("ok", parsed.edge, None, "", (), parsed)
+            return GuardVerdict("ok", None, "", (), parsed)
         return self._stream_verdict(parsed, [], active)
 
     def _parse_verdict(
         self, record: SourceRecord, violation: ContractViolation, policies: PolicySet
     ) -> GuardVerdict:
-        mode = policies.mode_for(violation.reason)
-        if mode == "strict":
-            return GuardVerdict("strict", None, violation.reason, violation.detail, ())
-        if mode == "quarantine":
-            return GuardVerdict("quarantine", None, violation.reason, violation.detail, ())
+        verdict = self._judge(violation.reason, violation.detail, [], policies)
+        if verdict is not None:
+            return verdict
         try:
             repaired = self._repair(record, violation)
         except ContractViolation as secondary:
@@ -453,11 +420,11 @@ class StreamGuard:
             # one repair attempt per record keeps this terminating).
             fallback = policies.mode_for(secondary.reason)
             disposition = "strict" if fallback == "strict" else "quarantine"
-            return GuardVerdict(disposition, None, secondary.reason, secondary.detail, ())
+            return GuardVerdict(disposition, secondary.reason, secondary.detail, ())
         if repaired is None:
             # The repair was removal (a self-loop under normalize).
             return GuardVerdict(
-                "normalized", None, violation.reason, violation.detail, (violation.reason,)
+                "normalized", violation.reason, violation.detail, (violation.reason,)
             )
         return self._stream_verdict(repaired, [violation.reason], policies)
 
@@ -474,37 +441,19 @@ class StreamGuard:
                     f"delete of edge {key} reached an append-only consumer "
                     "(enable dynamic mode for retractable streams)"
                 )
-                verdict = self._judge("unsupported_delete", detail, cases, policies)
-                if verdict is not None:
-                    return verdict
-                return GuardVerdict(
-                    "normalized", None, "unsupported_delete", detail,
-                    tuple(cases + ["unsupported_delete"]),
-                )
+                return self._removed("unsupported_delete", detail, cases, policies)
             # Unseen next: like duplicate-first for adds, identity does
             # not depend on the timestamp, so a retraction of an edge
             # the stream never added is named for what it is.
             if key not in self._seen:
                 detail = f"delete of edge {key} which the stream never added"
-                verdict = self._judge("delete_unseen_edge", detail, cases, policies)
-                if verdict is not None:
-                    return verdict
-                return GuardVerdict(
-                    "normalized", None, "delete_unseen_edge", detail,
-                    tuple(cases + ["delete_unseen_edge"]),
-                )
+                return self._removed("delete_unseen_edge", detail, cases, policies)
         elif key in self._seen:
             # Duplicate first: identity does not depend on the
             # timestamp, so a verbatim re-send (whose stale timestamp
             # would also look out-of-order) is named for what it is.
             detail = f"edge {key} already accepted earlier in the stream"
-            verdict = self._judge("duplicate_edge", detail, cases, policies)
-            if verdict is not None:
-                return verdict
-            return GuardVerdict(
-                "normalized", None, "duplicate_edge", detail,
-                tuple(cases + ["duplicate_edge"]),
-            )
+            return self._removed("duplicate_edge", detail, cases, policies)
         if parsed.timestamp > self.max_timestamp:
             detail = (
                 f"timestamp {parsed.timestamp:g} beyond the far-future horizon "
@@ -531,38 +480,37 @@ class StreamGuard:
             self._seen.discard(key)
             self._degrees[parsed.u] = max(0, self._degrees.get(parsed.u, 0) - 1)
             self._degrees[parsed.v] = max(0, self._degrees.get(parsed.v, 0) - 1)
-            if parsed.timestamp > self._high_water:
-                self._high_water = parsed.timestamp
-            if cases:
-                return GuardVerdict(
-                    "normalized", parsed.edge, cases[0], "", tuple(cases), parsed
+        else:
+            degree_u = self._degrees.get(parsed.u, 0)
+            degree_v = self._degrees.get(parsed.v, 0)
+            if degree_u >= self.hub_degree_limit or degree_v >= self.hub_degree_limit:
+                hub = parsed.u if degree_u >= self.hub_degree_limit else parsed.v
+                detail = (
+                    f"vertex {hub} already has degree {max(degree_u, degree_v)} "
+                    f"(hub limit {self.hub_degree_limit})"
                 )
-            return GuardVerdict("ok", parsed.edge, None, "", (), parsed)
-        degree_u = self._degrees.get(parsed.u, 0)
-        degree_v = self._degrees.get(parsed.v, 0)
-        if degree_u >= self.hub_degree_limit or degree_v >= self.hub_degree_limit:
-            hub = parsed.u if degree_u >= self.hub_degree_limit else parsed.v
-            detail = (
-                f"vertex {hub} already has degree {max(degree_u, degree_v)} "
-                f"(hub limit {self.hub_degree_limit})"
-            )
-            verdict = self._judge("hub_anomaly", detail, cases, policies)
-            if verdict is not None:
-                return verdict
-            return GuardVerdict(
-                "normalized", None, "hub_anomaly", detail, tuple(cases + ["hub_anomaly"])
-            )
-        # Accepted: commit the detector state.
-        self._seen.add(key)
-        self._degrees[parsed.u] = degree_u + 1
-        self._degrees[parsed.v] = degree_v + 1
+                return self._removed("hub_anomaly", detail, cases, policies)
+            # Accepted: commit the detector state.
+            self._seen.add(key)
+            self._degrees[parsed.u] = degree_u + 1
+            self._degrees[parsed.v] = degree_v + 1
         if parsed.timestamp > self._high_water:
             self._high_water = parsed.timestamp
         if cases:
             return GuardVerdict(
-                "normalized", parsed.edge, cases[0], "", tuple(cases), parsed
+                "normalized", cases[0], "", tuple(cases), parsed
             )
-        return GuardVerdict("ok", parsed.edge, None, "", (), parsed)
+        return GuardVerdict("ok", None, "", (), parsed)
+
+    def _removed(
+        self, reason: str, detail: str, cases: list, policies: PolicySet
+    ) -> GuardVerdict:
+        """The verdict for a stream-level case whose normalize repair is
+        removal of the record."""
+        verdict = self._judge(reason, detail, cases, policies)
+        if verdict is not None:
+            return verdict
+        return GuardVerdict("normalized", reason, detail, tuple(cases + [reason]))
 
     def _judge(
         self, reason: str, detail: str, cases: list, policies: PolicySet
@@ -571,9 +519,9 @@ class StreamGuard:
         ``None`` when the mode is normalize (caller applies the repair)."""
         mode = policies.mode_for(reason)
         if mode == "strict":
-            return GuardVerdict("strict", None, reason, detail, tuple(cases))
+            return GuardVerdict("strict", reason, detail, tuple(cases))
         if mode == "quarantine":
-            return GuardVerdict("quarantine", None, reason, detail, tuple(cases))
+            return GuardVerdict("quarantine", reason, detail, tuple(cases))
         return None
 
     # ------------------------------------------------------------------
@@ -598,40 +546,22 @@ class StreamGuard:
             if isinstance(value, str):
                 tokens = value.split()
                 keep = 3 if tokens and tokens[0] in OP_TOKENS else 2
-                return self._reparse(" ".join(tokens[:keep]), record)
+                return self._reparse(record, " ".join(tokens[:keep]))
             if isinstance(value, StreamRecord):
-                trimmed = SourceRecord(
-                    record.offset,
-                    value._replace(timestamp=float(record.offset)),
-                    record.line_number,
-                )
-            else:
-                trimmed = SourceRecord(record.offset, tuple(value[:2]), record.line_number)
-            return coerce_stream_record(trimmed, self.self_loops)
+                return self._reparse(record, value._replace(timestamp=float(record.offset)))
+            return self._reparse(record, tuple(value[:2]))
         if reason == "mixed_delimiter" and isinstance(value, str):
             parts = [part for part in _ALIEN_SPLIT.split(value) if part]
-            return self._reparse(" ".join(parts), record)
+            return self._reparse(record, " ".join(parts))
         if reason == "bad_encoding" and isinstance(value, str):
-            return self._reparse(_strip_hostile_encoding(value), record)
+            return self._reparse(record, _strip_hostile_encoding(value))
         raise ContractViolation(
             reason, f"no sound normalizer for {reason}: {violation.detail}"
         )
 
-    def _reparse(self, text: str, record: SourceRecord) -> Optional[StreamRecord]:
-        """Re-run the repaired text through the full parse contract."""
-        try:
-            parsed = parse_stream_record(
-                text,
-                line_number=record.line_number,
-                default_timestamp=float(record.offset),
-            )
-        except StreamFormatError as error:
-            raise ContractViolation(error.reason or "bad_arity", str(error)) from None
-        if parsed.u == parsed.v:
-            if self.self_loops == "drop":
-                return None
-            raise ContractViolation("self_loop", f"self-loop on vertex {parsed.u}")
-        return parsed
+    def _reparse(self, record: SourceRecord, repaired: object) -> Optional[StreamRecord]:
+        """Re-run the repaired value through the full record contract."""
+        return coerce_stream_record(record._replace(value=repaired), self.self_loops)
 
 
 def _strip_hostile_encoding(text: str) -> str:

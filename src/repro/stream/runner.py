@@ -23,57 +23,31 @@ sources replay deterministically from any offset.  There is no
 "maybe-processed" window: a record is reflected in a checkpoint iff its
 offset is below the checkpoint's.
 
-Record contract — a record must be one of:
-
-* a text line parseable by :func:`repro.graph.io.parse_stream_record`
-  (optionally op-prefixed: ``add``/``+``/``delete``/``del``/``-``),
-* a typed :class:`~repro.graph.stream.StreamRecord`,
-* a ``(u, v)`` or ``(u, v, timestamp)`` tuple of non-negative ints
-  (an :class:`~repro.graph.stream.Edge` qualifies; coerced to an
-  ``add`` record), or
-* anything else → dead-letter reason ``bad_record_type``.
-
-Deletions are consumed only by dynamic predictors (built from
-``SketchConfig(dynamic_mode=True)``); on an append-only runner any
-delete dead-letters with reason ``unsupported_delete``, and a delete of
-an edge the guarded stream never added dead-letters as
-``delete_unseen_edge``.
-
-Violations are handled per the ``policy``: ``"quarantine"`` (default)
-dead-letters and continues; ``"strict"`` raises
-:class:`~repro.errors.DeadLetterError` on the first violation.
-Self-loops get their own knob (``self_loops="quarantine"|"drop"``)
-because SNAP archives carry them routinely: drop matches the eager
-readers, quarantine makes them visible in counters.
+Records pass through one :class:`~repro.stream.admission.Admission`
+stage — the same record contract, casebook policies and dead-letter
+channel as the sharded :class:`~repro.parallel.ShardedRunner` — and the
+accepted ones fold into the local predictor through a
+:class:`~repro.stream.admission.SpanFolder`.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Union
 
 from repro.core.config import SketchConfig
 from repro.core.dynamic import DynamicMinHashPredictor
 from repro.core.predictor import MinHashLinkPredictor
-from repro.errors import ConfigurationError, DeadLetterError
-from repro.graph.stream import Edge, StreamRecord
+from repro.errors import ConfigurationError
 from repro.obs.export import PeriodicReporter
 from repro.obs.registry import MetricsRegistry
+from repro.stream.admission import Admission, SpanFolder
 from repro.stream.checkpoint import CheckpointManager
-from repro.stream.deadletter import DeadLetter, DeadLetterSink, MemoryDeadLetters, REASONS
-from repro.stream.policies import (
-    ContractViolation,
-    GuardVerdict,
-    PolicySet,
-    StreamGuard,
-    coerce_record,
-)
-from repro.stream.sources import EdgeSource, RetryingSource, SourceRecord
+from repro.stream.deadletter import DeadLetterSink
+from repro.stream.policies import PolicySet, StreamGuard
+from repro.stream.sources import EdgeSource
 
-__all__ = ["StreamRunner", "ContractViolation", "coerce_record"]
-
-#: Backwards-compatible private alias (pre-parallel name).
-_ContractViolation = ContractViolation
+__all__ = ["StreamRunner"]
 
 
 class StreamRunner:
@@ -98,26 +72,12 @@ class StreamRunner:
         Snapshot cadence in *consumed records*; ``0`` disables periodic
         checkpoints (a final one is still written when the source is
         exhausted, if a manager is configured).
-    dead_letters:
-        Sink for quarantined records; default an in-memory sink.
-    policy:
-        ``"quarantine"`` routes violations aside; ``"strict"`` raises
-        :class:`DeadLetterError` on the first one.
-    self_loops:
-        ``"quarantine"`` (visible in counters) or ``"drop"`` (silent,
-        matching the eager file readers).
-    policies:
-        Optional per-case :class:`~repro.stream.policies.PolicySet`
-        (or its CLI string spelling).  Activates the full casebook
-        contract — stream-level cases (duplicates, timestamp anomalies,
-        hub explosions) and normalize-mode repairs — via a
-        :class:`~repro.stream.policies.StreamGuard`.  ``None`` (the
-        default) keeps the legacy parse-level contract exactly.
-    guard:
-        An explicit pre-configured :class:`StreamGuard` (to set
-        ``hub_degree_limit``/``max_timestamp``, or to share detector
-        state with a dead-letter replay).  Mutually exclusive with
-        ``policies``; its ``self_loops`` must match the runner's.
+    dead_letters / policy / self_loops / policies / guard:
+        The admission contract, shared with the sharded runner — see
+        :class:`~repro.stream.admission.Admission`.  Without
+        ``policies`` or ``guard`` the legacy parse-level contract holds
+        exactly; a ``policies`` set (or its CLI string spelling)
+        activates the full casebook contract.
     metrics:
         The :class:`~repro.obs.registry.MetricsRegistry` holding this
         runner's instruments (the ``ingest_*`` family); default a fresh
@@ -130,18 +90,14 @@ class StreamRunner:
         ``--metrics-every`` flight recorder).  The runner never closes
         it — the owner decides when the final sample lands.
     batch_size:
-        Clean-span batching for the block-ingest kernel
-        (:meth:`~repro.core.predictor.MinHashLinkPredictor.update_block`).
-        ``0``/``1`` (default) updates the predictor per record — the
-        scalar path, byte-for-byte.  ``>1`` buffers guard-accepted
-        edges and folds them in batches: the guard still judges every
-        record in stream order (policy ordering, detector state and
-        quarantine behavior are untouched), and pending edges are
-        flushed before every checkpoint, before any strict-mode raise,
-        and when :meth:`run` returns — so checkpoints and crash
-        recovery stay bit-identical to scalar ingestion.  The only
-        visible lag is cosmetic: the ``ingest_vertices`` gauge can
-        trail the committed offset by up to one batch mid-run.
+        Span size for the block-ingest kernel
+        (:meth:`~repro.core.predictor.MinHashLinkPredictor.update_block`)
+        — see :class:`~repro.stream.admission.SpanFolder`.  ``0``/``1``
+        (default) is the scalar per-record path.  Pending spans are
+        flushed before every checkpoint and when :meth:`run` returns
+        (a strict-mode raise included), so checkpoints and crash
+        recovery stay bit-identical to scalar ingestion; only the
+        ``ingest_vertices`` gauge can trail the offset by one span.
     clock:
         Injectable monotonic clock for checkpoint-age reporting.
     """
@@ -164,18 +120,12 @@ class StreamRunner:
         batch_size: int = 0,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if policy not in ("quarantine", "strict"):
-            raise ConfigurationError(f'policy must be "quarantine" or "strict", got {policy!r}')
-        if self_loops not in ("quarantine", "drop"):
-            raise ConfigurationError(f'self_loops must be "quarantine" or "drop", got {self_loops!r}')
         if checkpoint_every < 0:
             raise ConfigurationError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
         if batch_size < 0:
             raise ConfigurationError(f"batch_size must be >= 0, got {batch_size}")
         if checkpoint_every and checkpoint_manager is None:
             raise ConfigurationError("checkpoint_every needs a checkpoint_manager")
-        if guard is not None and policies is not None:
-            raise ConfigurationError("pass policies or a pre-built guard, not both")
         self.source = source
         if predictor is not None:
             self.predictor = predictor
@@ -187,43 +137,9 @@ class StreamRunner:
         self.dynamic = isinstance(self.predictor, DynamicMinHashPredictor)
         self.checkpoints = checkpoint_manager
         self.checkpoint_every = checkpoint_every
-        self.dead_letters = dead_letters or MemoryDeadLetters()
-        self.policy = policy
-        self.self_loops = self_loops
-        if guard is not None:
-            if guard.self_loops != self_loops:
-                raise ConfigurationError(
-                    "the guard's self_loops setting must match the runner's"
-                )
-            if guard.supports_deletes and not self.dynamic:
-                raise ConfigurationError(
-                    "a delete-admitting guard needs a dynamic predictor; "
-                    "append-only sketches cannot retract edges "
-                    "(build with SketchConfig(dynamic_mode=True))"
-                )
-            self.guard = guard
-        else:
-            if isinstance(policies, str):
-                policies = PolicySet.parse(policies)
-            # A dynamic predictor admits deletes through the guard;
-            # append-only predictors keep the legacy contract where any
-            # delete dead-letters as ``unsupported_delete``.
-            self.guard = StreamGuard(
-                policies, self_loops=self_loops, supports_deletes=self.dynamic
-            )
-        self.policies = self.guard.policies
         self.clock = clock
         self.reporter = reporter
-        self.batch_size = batch_size
-        # Guard-accepted edges awaiting an update_block flush.  Dynamic
-        # spans also carry timestamps and must stay homogeneous in op
-        # (the batched kernel applies one op per call), so an op change
-        # flushes the pending span first — order across ops is
-        # preserved exactly as the scalar loop would apply them.
-        self._pending_us: list = []
-        self._pending_vs: list = []
-        self._pending_ts: list = []
-        self._pending_op: Optional[str] = None
+        self._fold = SpanFolder(self.predictor, batch_size)
         #: Committed offset: every record below it is reflected in state.
         self.offset = 0
         self.resumed_from: Optional[int] = None  # generation, if resumed
@@ -238,34 +154,25 @@ class StreamRunner:
             "Records consumed from the source, by outcome",
             labelnames=("outcome",),
         )
-        # Hot-path handles resolved once: _consume() pays one bound
-        # attribute add per record, nothing else.
         self._m_ok = records.labels(outcome="ok")
-        self._m_dead = records.labels(outcome="dead_letter")
-        self._m_dropped = records.labels(outcome="dropped")
-        self._m_strict_error = records.labels(outcome="strict_error")
-        self._m_norm_removed = records.labels(outcome="normalized")
-        self._m_dead_reasons = self.metrics.counter(
-            "ingest_dead_letters_total",
-            "Quarantined records by contract-violation reason",
-            labelnames=("reason",),
+        self.admission = Admission(
+            source,
+            self.metrics,
+            records,
+            dynamic=self.dynamic,
+            dead_letters=dead_letters,
+            policy=policy,
+            self_loops=self_loops,
+            policies=policies,
+            guard=guard,
         )
-        self._m_normalized = self.metrics.counter(
-            "ingest_normalized_total",
-            "Normalize-mode repairs applied, by casebook case",
-            labelnames=("reason",),
-        )
+        self.guard = self.admission.guard
+        self.dead_letters = self.admission.dead_letters
         self._m_checkpoints = self.metrics.counter(
             "ingest_checkpoints_written_total", "Checkpoint generations written"
         )
         self._m_checkpoint_seconds = self.metrics.histogram(
             "ingest_checkpoint_write_seconds", "Wall seconds per checkpoint save"
-        )
-        self._m_run_seconds = self.metrics.counter(
-            "ingest_run_seconds_total", "Wall seconds spent inside run()"
-        )
-        self._m_rate = self.metrics.gauge(
-            "ingest_records_per_second", "Consumption rate of the most recent run() call"
         )
         # Read-time gauges: zero hot-path cost, always-current values.
         self.metrics.gauge(
@@ -282,37 +189,15 @@ class StreamRunner:
         self.metrics.gauge(
             "ingest_vertices", "Vertices sketched by the predictor"
         ).set_function(lambda: self.predictor.vertex_count)
-        self.metrics.gauge(
-            "ingest_source_retries", "Transient-failure retries by the source"
-        ).set_function(self._source_retries)
-
-    def _source_retries(self) -> int:
-        return self.source.retries if isinstance(self.source, RetryingSource) else 0
-
-    # -- legacy counter attributes, now views of the registry ----------
 
     @property
     def records_in(self) -> int:
         """Records consumed, every outcome included."""
-        return int(
-            self._m_ok.value
-            + self._m_dead.value
-            + self._m_dropped.value
-            + self._m_norm_removed.value
-            + self._m_strict_error.value
-        )
+        return self.admission.records_in
 
     @property
     def records_ok(self) -> int:
-        return int(self._m_ok.value)
-
-    @property
-    def dropped(self) -> int:
-        return int(self._m_dropped.value)
-
-    @property
-    def checkpoints_written(self) -> int:
-        return int(self._m_checkpoints.value)
+        return self.admission.records_ok
 
     # ------------------------------------------------------------------
     # Resume
@@ -332,7 +217,7 @@ class StreamRunner:
         checkpoint = self.checkpoints.load_latest()
         if checkpoint is None:
             return False
-        self.predictor = checkpoint.predictor
+        self.predictor = self._fold.predictor = checkpoint.predictor
         self.offset = checkpoint.offset
         self.resumed_from = checkpoint.generation
         self._last_checkpoint_offset = checkpoint.offset
@@ -355,12 +240,23 @@ class StreamRunner:
         """
         started = self.clock()
         consumed_this_call = 0
+        admit = self.admission.admit
+        fold = self._fold
         try:
             for record in self.source.records(self.offset):
                 if max_records is not None and consumed_this_call >= max_records:
                     break
-                self._consume(record)
+                accepted = admit(record)  # a strict rejection raises uncommitted
+                if accepted is not None:
+                    fold.add(accepted.op == "delete", accepted.u, accepted.v, accepted.timestamp)
+                    self._m_ok.inc()
+                # Dead-lettered and dropped records still commit the
+                # offset: quarantining must never desynchronise resume.
+                self.offset = record.offset + 1
+                self._since_checkpoint += 1
                 consumed_this_call += 1
+                if self.reporter is not None:
+                    self.reporter.tick()
                 if self.checkpoint_every and self._since_checkpoint >= self.checkpoint_every:
                     self.checkpoint()  # flushes pending edges first
             else:
@@ -369,130 +265,11 @@ class StreamRunner:
                     self.checkpoint()
         finally:
             # Whatever stopped the loop — exhaustion, max_records, a
-            # source error — state must reflect every committed offset
-            # before control leaves run().
-            self._flush_pending()
-        elapsed = self.clock() - started
-        self._m_run_seconds.inc(elapsed)
-        if elapsed > 0:
-            self._m_rate.set(consumed_this_call / elapsed)
+            # strict rejection, a source error — state must reflect
+            # every committed offset before control leaves run().
+            fold.flush()
+        self.admission.ran(consumed_this_call, self.clock() - started)
         return self.stats()
-
-    def _ingest_edge(self, u: int, v: int) -> None:
-        """Apply (or buffer, under ``batch_size``) one accepted edge."""
-        if self.batch_size > 1:
-            self._pending_us.append(u)
-            self._pending_vs.append(v)
-            if len(self._pending_us) >= self.batch_size:
-                self._flush_pending()
-        else:
-            self.predictor.update(u, v)
-
-    def _ingest_record(self, accepted: StreamRecord) -> None:
-        """Apply (or buffer) one guard-accepted typed record.
-
-        Dynamic predictors consume the op and timestamp; append-only
-        predictors receive the legacy edge view (the guard has already
-        dead-lettered any delete before it reaches them).
-        """
-        if not self.dynamic:
-            self._ingest_edge(accepted.u, accepted.v)
-            return
-        if self.batch_size > 1:
-            if self._pending_op is not None and accepted.op != self._pending_op:
-                self._flush_pending()
-            self._pending_op = accepted.op
-            self._pending_us.append(accepted.u)
-            self._pending_vs.append(accepted.v)
-            self._pending_ts.append(accepted.timestamp)
-            if len(self._pending_us) >= self.batch_size:
-                self._flush_pending()
-        else:
-            self.predictor.apply(accepted)
-
-    def _flush_pending(self) -> None:
-        """Fold every buffered edge into the predictor (bit-identical
-        to having applied them scalar, per the ``update_block`` /
-        ``delete_block`` contracts)."""
-        if self._pending_us:
-            us, self._pending_us = self._pending_us, []
-            vs, self._pending_vs = self._pending_vs, []
-            ts, self._pending_ts = self._pending_ts, []
-            op, self._pending_op = self._pending_op, None
-            if not self.dynamic:
-                self.predictor.update_block(us, vs)
-            elif op == "delete":
-                self.predictor.delete_block(us, vs, ts)
-            else:
-                self.predictor.update_block(us, vs, ts)
-
-    def _consume(self, record: SourceRecord) -> None:
-        verdict = self.guard.evaluate(record)
-        disposition = verdict.disposition
-        if disposition == "ok":
-            self._ingest_record(self._accepted_record(verdict))
-            self._m_ok.inc()
-        elif disposition == "normalized":
-            for case in verdict.cases:
-                self._m_normalized.labels(case).inc()
-            if verdict.edge is not None:
-                self._ingest_record(self._accepted_record(verdict))
-                self._m_ok.inc()
-            else:
-                self._m_norm_removed.inc()  # the repair was removal
-        elif disposition == "drop":
-            self._m_dropped.inc()  # silently dropped self-loop
-        elif disposition == "strict" or self.policy == "strict":
-            self._reject_strict(record, verdict)  # raises before commit
-        else:  # quarantine
-            self._quarantine(record, verdict)
-            self._m_dead.inc()
-            self._m_dead_reasons.labels(verdict.reason).inc()
-        # Dead-lettered and dropped records still commit the offset:
-        # quarantining must never desynchronise resume.
-        self.offset = record.offset + 1
-        self._since_checkpoint += 1
-        if self.reporter is not None:
-            self.reporter.tick()
-
-    @staticmethod
-    def _accepted_record(verdict: GuardVerdict) -> StreamRecord:
-        """The typed record behind an accepting verdict (synthesized
-        from the legacy edge view for guards predating the record
-        field)."""
-        if verdict.record is not None:
-            return verdict.record
-        edge = verdict.edge
-        return StreamRecord.add_edge(edge.u, edge.v, edge.timestamp)
-
-    def _coerce(self, record: SourceRecord) -> Optional[Edge]:
-        """Validate one raw record; ``None`` means "drop silently"."""
-        return coerce_record(record, self.self_loops)
-
-    def _reject_strict(self, record: SourceRecord, verdict: GuardVerdict) -> None:
-        # The offsets below the rejected record are committed, so their
-        # edges must reach the predictor before the stream fails.
-        self._flush_pending()
-        self._m_strict_error.inc()
-        raise DeadLetterError(
-            f"offset {record.offset}"
-            + (f" (line {record.line_number})" if record.line_number else "")
-            + f": {verdict.detail}",
-            reason=verdict.reason,
-            offset=record.offset,
-        )
-
-    def _quarantine(self, record: SourceRecord, verdict: GuardVerdict) -> None:
-        raw = record.value if isinstance(record.value, str) else repr(record.value)
-        self.dead_letters.record(
-            DeadLetter(
-                offset=record.offset,
-                reason=verdict.reason,
-                raw=raw,
-                line_number=record.line_number,
-                detail=verdict.detail,
-            )
-        )
 
     # ------------------------------------------------------------------
     # Checkpoints and health
@@ -505,7 +282,7 @@ class StreamRunner:
         reflect every record below its offset."""
         if self.checkpoints is None:
             raise ConfigurationError("no checkpoint_manager configured")
-        self._flush_pending()
+        self._fold.flush()
         started = self.clock()
         self.checkpoints.save(self.predictor, self.offset)
         finished = self.clock()
@@ -516,31 +293,8 @@ class StreamRunner:
         self._since_checkpoint = 0
 
     def dead_letter_reasons(self) -> Dict[str, int]:
-        """Per-reason quarantine counts from the registry, stably
-        ordered by the reason vocabulary (a fresh dict every call — a
-        caller mutating it cannot corrupt runner state)."""
-        by_reason = {
-            labels.get("reason", ""): int(series.value)
-            for labels, series in self._m_dead_reasons.series()
-        }
-        ordered = {reason: by_reason[reason] for reason in REASONS if by_reason.get(reason)}
-        for reason, count in by_reason.items():
-            if count and reason not in ordered:
-                ordered[reason] = count
-        return ordered
-
-    def normalized_reasons(self) -> Dict[str, int]:
-        """Per-case counts of applied normalize-mode repairs (stably
-        ordered by the reason vocabulary, defensive copy)."""
-        by_reason = {
-            labels.get("reason", ""): int(series.value)
-            for labels, series in self._m_normalized.series()
-        }
-        ordered = {reason: by_reason[reason] for reason in REASONS if by_reason.get(reason)}
-        for reason, count in by_reason.items():
-            if count and reason not in ordered:
-                ordered[reason] = count
-        return ordered
+        """Per-reason quarantine counts (see :class:`Admission`)."""
+        return self.admission.dead_letter_reasons()
 
     def stats(self) -> Dict[str, object]:
         """Runner health as a flat dict (the monitoring surface).
@@ -557,28 +311,12 @@ class StreamRunner:
         age: Optional[float] = None
         if self._last_checkpoint_time is not None:
             age = self.clock() - self._last_checkpoint_time
-        dead_reasons = self.dead_letter_reasons()
-        norm_reasons = self.normalized_reasons()
         return {
             "source": self.source.name,
-            "policy": self.policy,
+            "policy": self.admission.policy,
             "offset": self.offset,
-            "records_in": self.records_in,
-            "records_ok": self.records_ok,
-            "dead_lettered": int(self._m_dead.value),
-            "dead_letter_reasons": dead_reasons,
-            "dropped": self.dropped,
-            "normalized": int(sum(norm_reasons.values())),
-            "normalized_reasons": norm_reasons,
-            # Duplicate arrivals the guard caught (casebook policies
-            # only — the legacy contract keeps no seen-edge state).
-            # Duplicates that *reach* the predictor are idempotent on
-            # the sketches but inflate degrees; see
-            # MinHashLinkPredictor.update on the estimator bias.
-            "duplicate_edges_detected": dead_reasons.get("duplicate_edge", 0)
-            + norm_reasons.get("duplicate_edge", 0),
-            "retries": self._source_retries(),
-            "checkpoints_written": self.checkpoints_written,
+            **self.admission.stats(),
+            "checkpoints_written": int(self._m_checkpoints.value),
             "last_checkpoint_offset": self._last_checkpoint_offset,
             "last_checkpoint_age_seconds": age,
             "resumed_from_generation": self.resumed_from,

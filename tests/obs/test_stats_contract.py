@@ -21,7 +21,14 @@ import numpy as np
 from repro.core import MinHashLinkPredictor, SketchConfig
 from repro.obs import MetricsRegistry
 from repro.serve import QueryEngine
-from repro.stream import IteratorEdgeSource, StreamRunner
+from repro.parallel import ShardedRunner
+from repro.stream import (
+    FaultInjector,
+    IteratorEdgeSource,
+    RetryingSource,
+    RetryPolicy,
+    StreamRunner,
+)
 
 RUNNER_STATS_KEYS = {
     "checkpoints_written",
@@ -43,6 +50,21 @@ RUNNER_STATS_KEYS = {
     "source",
     "source_exhausted",
     "vertices",
+}
+
+#: The sharded runner shares the admission keys (``retries`` included:
+#: the CLI and facade wrap sharded sources in RetryingSource too) and
+#: swaps the serial checkpoint/resume keys for per-shard ones.
+SHARDED_RUNNER_STATS_KEYS = (
+    RUNNER_STATS_KEYS
+    - {"last_checkpoint_age_seconds", "last_checkpoint_offset", "resumed_from_generation"}
+) | {
+    "merge_seconds",
+    "replayed",
+    "resumed_generations",
+    "shard_offsets",
+    "shard_records",
+    "workers",
 }
 
 ENGINE_STATS_KEYS = {
@@ -149,6 +171,21 @@ class TestRunnerStatsSchema:
         )
         runner.run()
         assert set(runner.stats()) == RUNNER_STATS_KEYS
+
+
+class TestShardedRunnerStatsSchema:
+    def test_exact_key_set_reports_source_retries(self):
+        flaky = FaultInjector(seed=7, io_error_rate=0.4, max_failures_per_offset=2).flaky(
+            IteratorEdgeSource(DIRTY, name="fixture")
+        )
+        source = RetryingSource(
+            flaky, RetryPolicy(max_attempts=4, base_delay=0.0, jitter=0.0, sleep=lambda _: None)
+        )
+        runner = ShardedRunner(source, workers=2, config=SketchConfig(k=16, seed=9))
+        stats = runner.run()
+        assert set(stats) == SHARDED_RUNNER_STATS_KEYS
+        assert stats["retries"] == flaky.failures_injected > 0
+        assert runner.metrics.get("ingest_source_retries").value == stats["retries"]
 
 
 class TestEngineStatsSchema:

@@ -15,6 +15,7 @@ import pytest
 
 from repro.api import ingest
 from repro.core import MinHashLinkPredictor, SketchConfig
+from repro.core.persistence import load_predictor_with_metadata
 from repro.errors import ConfigurationError, DeadLetterError
 from repro.stream import CheckpointManager, IteratorEdgeSource, StreamRunner
 from repro.stream.casebook import sketch_fingerprint
@@ -154,28 +155,50 @@ class TestFacadeAndSharded:
             scalar.predictor
         )
 
-    def test_sharded_batched_checkpoint_resume(self, tmp_path):
+    @pytest.mark.parametrize("dynamic_mode", [False, True], ids=["append", "dynamic"])
+    def test_sharded_batched_checkpoint_resume(self, tmp_path, dynamic_mode):
         records = [(i % 11, (i * 5) % 11) for i in range(90) if i % 11 != (i * 5) % 11]
-        interrupted = ingest(
-            records,
-            config=CONFIG,
-            workers=2,
-            batch_size=8,
-            checkpoint_dir=tmp_path,
-            checkpoint_every=10,
-            max_records=40,
-        )
-        assert interrupted.records_ok < len(records)
-        resumed = ingest(
-            records,
-            config=CONFIG,
-            workers=2,
-            batch_size=8,
-            checkpoint_dir=tmp_path,
-            checkpoint_every=10,
-            resume=True,
-        )
-        scalar = ingest(records, config=CONFIG)
+        config = CONFIG
+        if dynamic_mode:
+            # Runs of adds broken by runs of two deletes: the worker's
+            # spans must split at every op change as well as at every
+            # checkpoint boundary.
+            config = SketchConfig(k=16, seed=9, dynamic_mode=True)
+            churn = []
+            for i, (u, v) in enumerate(records):
+                churn.append(f"{u} {v} {i}")
+                if i % 4 == 3:
+                    churn += [f"- {u} {v} {i}.25", f"- {records[i - 1][0]} {records[i - 1][1]} {i}.5"]
+            records = churn
+
+        def kill_and_resume(directory, batch_size):
+            options = dict(
+                config=config,
+                workers=2,
+                batch_size=batch_size,
+                checkpoint_dir=directory,
+                checkpoint_every=10,
+                keep=100,
+            )
+            interrupted = ingest(records, max_records=40, **options)
+            assert interrupted.records_ok < len(records)
+            return ingest(records, resume=True, **options)
+
+        def checkpoint_offsets(directory):
+            return {
+                path.relative_to(directory).as_posix(): load_predictor_with_metadata(path)[1][
+                    "stream_offset"
+                ]
+                for path in sorted(directory.glob("shard-*/checkpoint-*.npz"))
+            }
+
+        resumed = kill_and_resume(tmp_path / "batched", batch_size=8)
+        scalar_resumed = kill_and_resume(tmp_path / "scalar", batch_size=0)
+        scalar = ingest(records, config=config)
         assert sketch_fingerprint(resumed.predictor) == sketch_fingerprint(
             scalar.predictor
         )
+        assert checkpoint_offsets(tmp_path / "batched") == checkpoint_offsets(
+            tmp_path / "scalar"
+        )
+        assert resumed.stats["shard_offsets"] == scalar_resumed.stats["shard_offsets"]

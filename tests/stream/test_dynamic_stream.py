@@ -20,7 +20,7 @@ from repro.graph.stream import Edge, StreamRecord
 from repro.parallel import ShardedRunner
 from repro.stream import PolicySet, StreamGuard, StreamRunner
 from repro.stream.casebook import check_casebook, sketch_fingerprint
-from repro.stream.policies import ContractViolation, coerce_record, coerce_stream_record
+from repro.stream.policies import ContractViolation, coerce_stream_record
 from repro.stream.sources import IteratorEdgeSource, SourceRecord
 
 
@@ -74,15 +74,6 @@ class TestCoercionShims:
         with pytest.raises(ContractViolation) as excinfo:
             coerce_stream_record(SourceRecord(0, hostile, 1))
         assert excinfo.value.reason == "bad_op"
-
-    def test_legacy_coerce_record_refuses_deletes(self):
-        record = SourceRecord(0, StreamRecord.delete_edge(3, 4), 1)
-        with pytest.raises(ContractViolation) as excinfo:
-            coerce_record(record)
-        assert excinfo.value.reason == "unsupported_delete"
-
-    def test_legacy_coerce_record_still_returns_edges(self):
-        assert coerce_record(SourceRecord(2, "3 4", 1)) == Edge(3, 4, 2.0)
 
 
 class TestGuardDeleteSemantics:

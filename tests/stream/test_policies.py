@@ -12,7 +12,7 @@ import pytest
 from repro.core import SketchConfig
 from repro.core.windowed import WindowedMinHashPredictor
 from repro.errors import ConfigurationError, DeadLetterError
-from repro.graph.stream import Edge
+from repro.graph.stream import StreamRecord
 from repro.stream import (
     DEFAULT_POLICIES,
     IteratorEdgeSource,
@@ -22,7 +22,7 @@ from repro.stream import (
     StreamGuard,
     StreamRunner,
 )
-from repro.stream.policies import ContractViolation, coerce_record
+from repro.stream.policies import ContractViolation, coerce_stream_record
 from repro.stream.sources import SourceRecord
 
 
@@ -78,11 +78,11 @@ class TestCoerceRecordHardening:
     def test_tuple_nonfinite_timestamp_rejected(self):
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ContractViolation) as excinfo:
-                coerce_record(record((1, 2, bad)))
+                coerce_stream_record(record((1, 2, bad)))
             assert excinfo.value.reason == "nonfinite_timestamp"
 
     def test_tuple_finite_timestamp_accepted(self):
-        assert coerce_record(record((1, 2, 7.5))) == Edge(1, 2, 7.5)
+        assert coerce_stream_record(record((1, 2, 7.5))) == StreamRecord.add_edge(1, 2, 7.5)
 
 
 #: The full matrix: per case, the stream state to prime, the hostile
@@ -151,9 +151,9 @@ class TestCaseMatrix:
         if disposition == "normalized":
             assert case in verdict.cases
             if repaired is None:
-                assert verdict.edge is None  # repaired by removal
+                assert verdict.record is None  # repaired by removal
             else:
-                assert (verdict.edge.u, verdict.edge.v) == repaired
+                assert (verdict.record.u, verdict.record.v) == repaired
         else:  # unrepairable: fell back to quarantine under its own name
             assert verdict.reason == case
 
@@ -185,12 +185,12 @@ class TestGuardSemantics:
         guard = make_guard("normalize")
         prime(guard, ["1 2 100"])
         verdict = guard.evaluate(record("3 4 5", 1))
-        assert verdict.edge.timestamp == 100.0
+        assert verdict.record.timestamp == 100.0
 
     def test_far_future_clamps_to_horizon(self):
         guard = make_guard("normalize")
         verdict = guard.evaluate(record("3 4 99999", 0))
-        assert verdict.edge.timestamp == 1000.0
+        assert verdict.record.timestamp == 1000.0
         assert verdict.cases == ("far_future_timestamp",)
 
     def test_duplicate_named_before_out_of_order(self):
@@ -212,7 +212,7 @@ class TestGuardSemantics:
             record("1 2 11", 1), policies=PolicySet.uniform("normalize")
         )
         assert replayed.disposition == "normalized"
-        assert replayed.edge is None
+        assert replayed.record is None
 
     def test_reset_forgets_stream_state(self):
         guard = make_guard("quarantine")

@@ -161,3 +161,15 @@ class TestEvaluate:
     def test_exact_method_has_zero_error(self, edge_file):
         profile = evaluate(edge_file, method="exact", pairs=40, measures=("jaccard",))
         assert profile["jaccard"]["mae"] == pytest.approx(0.0)
+
+    def test_op_prefixed_adds_match_plain_lines(self, edge_file, tmp_path):
+        # The same grammar as ingest: "+"/"add" lines are adds, not
+        # unparseable records skipped by the evaluation.
+        prefixed = tmp_path / "prefixed.txt"
+        prefixed.write_text(
+            "".join(
+                f"{'+' if i % 2 else 'add'} {u} {v}\n" for i, (u, v) in enumerate(EDGES)
+            )
+        )
+        options = dict(config=SketchConfig(k=32), pairs=40)
+        assert evaluate(str(prefixed), **options) == evaluate(edge_file, **options)
