@@ -64,7 +64,7 @@ def run_scurve():
                 (2_000_000, w + 10) for w in set_b
             ]
             predictor.process(from_pairs(edges))
-            index = LshCandidateIndex(predictor, bands=BANDS, rows=ROWS)
+            index = LshCandidateIndex(predictor.export_arrays(), bands=BANDS, rows=ROWS)
             pairs = {(c.u, c.v) for c in index.candidate_pairs()}
             if (1_000_000, 2_000_000) in pairs:
                 caught += 1

@@ -59,14 +59,16 @@ def main() -> None:
     print(f"ingested {len(stream)} edges; {predictor.vertex_count} accounts sketched")
 
     bands, rows = bands_for_threshold(predictor.config.k, threshold=0.6)
-    index = LshCandidateIndex(predictor, bands=bands, rows=rows, min_degree=5)
+    index = LshCandidateIndex(
+        predictor.export_arrays(), bands=bands, rows=rows, min_degree=5
+    )
     print(
         f"LSH index: {bands} bands x {rows} rows "
         f"(S-curve threshold {index.threshold:.2f}), "
         f"{index.bucket_count()} buckets\n"
     )
 
-    top = index.top_pairs(limit=15, min_jaccard=0.5)
+    top = index.top_pairs(predictor, limit=15, min_jaccard=0.5)
     planted = {
         frozenset(pair)
         for members in rings.values()

@@ -263,6 +263,28 @@ def _predictor_from_checkpoint_dir(directory: Path) -> MinHashLinkPredictor:
     return checkpoint.predictor
 
 
+def _predictor_from_target(
+    target: Union[MinHashLinkPredictor, str, Path], caller: str
+) -> MinHashLinkPredictor:
+    """Resolve a warm predictor, a ``.npz`` file or a checkpoint
+    directory (serial or sharded) to a predictor; ``caller`` names the
+    public verb in the type error."""
+    from repro.core.persistence import load_predictor
+
+    if isinstance(target, LinkPredictor):
+        return target
+    if not isinstance(target, (str, Path)):
+        raise ConfigurationError(
+            f"{caller} needs a predictor or a path, got {type(target).__name__}"
+        )
+    path = Path(target)
+    if path.is_dir():
+        return _predictor_from_checkpoint_dir(path)
+    if path.is_file():
+        return load_predictor(path)
+    raise ReproError(f"{path} is neither a predictor file nor a checkpoint directory")
+
+
 def open_engine(
     target: Union[MinHashLinkPredictor, str, Path],
     **engine_options,
@@ -281,23 +303,7 @@ def open_engine(
     Keyword options pass through to :class:`QueryEngine` (``bands``,
     ``rows``, ``batch_size``, ``metrics``, ...).
     """
-    from repro.core.persistence import load_predictor
-
-    if isinstance(target, (str, Path)):
-        path = Path(target)
-        if path.is_dir():
-            predictor = _predictor_from_checkpoint_dir(path)
-        elif path.is_file():
-            predictor = load_predictor(path)
-        else:
-            raise ReproError(f"{path} is neither a predictor file nor a checkpoint directory")
-    elif isinstance(target, LinkPredictor):
-        predictor = target
-    else:
-        raise ConfigurationError(
-            f"open_engine needs a predictor or a path, got {type(target).__name__}"
-        )
-    return QueryEngine(predictor, **engine_options)
+    return QueryEngine(_predictor_from_target(target, "open_engine"), **engine_options)
 
 
 def serve(
@@ -350,7 +356,6 @@ def serve(
     (``keep_history``, ``stale_after``, ``engine_options``, ...).
     See ``docs/OPERATIONS.md`` ("Running the server") for the runbook.
     """
-    from repro.core.persistence import load_predictor
     from repro.serve.server import SketchServer
     from repro.stream.checkpoint import CheckpointManager
     from repro.stream.runner import StreamRunner
@@ -361,24 +366,8 @@ def serve(
             "source (live ingest + hot swap)"
         )
     if target is not None:
-        if isinstance(target, (str, Path)):
-            path = Path(target)
-            if path.is_dir():
-                predictor = _predictor_from_checkpoint_dir(path)
-            elif path.is_file():
-                predictor = load_predictor(path)
-            else:
-                raise ReproError(
-                    f"{path} is neither a predictor file nor a checkpoint directory"
-                )
-        elif isinstance(target, LinkPredictor):
-            predictor = target
-        else:
-            raise ConfigurationError(
-                f"serve needs a predictor or a path, got {type(target).__name__}"
-            )
         return SketchServer(
-            predictor,
+            _predictor_from_target(target, "serve"),
             host=host,
             port=port,
             refresh_every=0.0,

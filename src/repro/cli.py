@@ -209,9 +209,9 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     predictor.process(edges)
     bands, rows = bands_for_threshold(args.k, args.threshold)
     index = LshCandidateIndex(
-        predictor, bands=bands, rows=rows, min_degree=args.min_degree
+        predictor.export_arrays(), bands=bands, rows=rows, min_degree=args.min_degree
     )
-    top = index.top_pairs(limit=args.top, min_jaccard=args.threshold * 0.7)
+    top = index.top_pairs(predictor, limit=args.top, min_jaccard=args.threshold * 0.7)
     table_rows = [[c.u, c.v, c.jaccard] for c, _ in top]
     print(
         format_table(

@@ -441,14 +441,6 @@ class ShardedRunner:
         self.merge_seconds = self.clock() - merge_started
         self._m_merge_seconds.observe(self.merge_seconds)
 
-    def shard_predictors(self) -> List[MinHashLinkPredictor]:
-        """The per-shard predictors of the finished run, in shard order
-        (the zero-copy input to
-        :meth:`repro.serve.PackedSketches.from_shards`)."""
-        if not self._done or len(self._done) < self.workers:
-            raise ConfigurationError("shard predictors exist only after run()")
-        return [self._done[shard]["predictor"] for shard in range(self.workers)]
-
     def dead_letter_reasons(self) -> Dict[str, int]:
         """Per-reason quarantine counts (see :class:`Admission`)."""
         return self.admission.dead_letter_reasons()

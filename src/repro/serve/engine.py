@@ -19,7 +19,8 @@ with the three things a query server needs:
   :meth:`StreamRunner.stats <repro.stream.runner.StreamRunner.stats>`
   on the write path.
 
-The engine snapshots the predictor at construction; call
+The engine snapshots the predictor at construction, and the candidate
+index is built from that snapshot, never from the live predictor; call
 :meth:`refresh` after further stream updates to serve the newer state.
 Scores agree with the per-pair ``predictor.score`` path measure-for-
 measure, including the unseen-vertex policy (0.0 everywhere, never a
@@ -179,7 +180,7 @@ class QueryEngine(object):
         if self._index is None:
             started = self.clock()
             self._index = LshCandidateIndex(
-                self.predictor,
+                self.store,
                 bands=self.bands,
                 rows=self.rows,
                 min_degree=self.min_degree,
@@ -244,11 +245,11 @@ class QueryEngine(object):
         :meth:`~repro.interface.LinkPredictor.rank_candidates`.
 
         ``prune`` selects candidate generation: ``True`` consults the
-        LSH index (built lazily on first use), ``False`` scores every
-        packed vertex, ``None`` (default) prunes for every measure
-        except ``preferential_attachment`` — a degree product is
-        positive for *any* warm pair, so bucket pruning would be wrong
-        there and the engine falls back to brute force.
+        LSH index (built lazily on first use, from the packed snapshot),
+        ``False`` scores every packed vertex, ``None`` (default) prunes
+        for every measure except ``preferential_attachment`` — a degree
+        product is positive for *any* warm pair, so bucket pruning would
+        be wrong there and the engine falls back to brute force.
 
         An unseen ``u`` returns ``[]`` (the unseen-vertex policy).
         """
@@ -267,9 +268,7 @@ class QueryEngine(object):
             return []
         brute_pool = self.store.n_vertices - 1  # everyone but u itself
         if prune:
-            found = self._ensure_index().candidates_of(u)
-            candidates = np.fromiter(found, dtype=np.int64, count=len(found))
-            candidates.sort()
+            candidates = self._ensure_index().candidates_of(u)
         else:
             candidates = self.store.vertex_ids[self.store.vertex_ids != u]
         self._m_candidates_scored.inc(len(candidates))

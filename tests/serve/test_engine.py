@@ -135,6 +135,18 @@ class TestTopK:
         with pytest.raises(ConfigurationError):
             engine.top_k(0, "jaccard", k=0)
 
+    def test_pruning_stays_exact_while_the_predictor_keeps_streaming(self):
+        # A live server's predictor moves on after a generation is
+        # packed; the candidate index must describe the packed snapshot,
+        # not the newer live state, or pruned top-k drifts from brute force.
+        predictor = warm_predictor()
+        engine = QueryEngine(predictor)
+        predictor.process(erdos_renyi(70, 200, seed=29))
+        for u in engine.store.vertex_ids.tolist():
+            assert engine.top_k(u, "jaccard", k=100, prune=True) == engine.top_k(
+                u, "jaccard", k=100, prune=False
+            )
+
 
 class TestLifecycle:
     def test_refresh_picks_up_new_edges(self):
