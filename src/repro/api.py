@@ -47,13 +47,14 @@ from typing import Dict, Iterable, Optional, Sequence, Union
 
 from repro.core.config import SketchConfig
 from repro.core.dynamic import merge_dynamic_shards
-from repro.core.predictor import MinHashLinkPredictor, merge_shards
+from repro.core.predictor import MinHashLinkPredictor
 from repro.core.registry import build_predictor as _registry_build
 from repro.errors import ConfigurationError, ReproError
 from repro.graph.stream import StreamRecord
 from repro.interface import LinkPredictor
 from repro.obs.registry import MetricsRegistry
 from repro.serve.engine import QueryEngine
+from repro.serve.packed import PackedSketches
 
 __all__ = [
     "IngestReport",
@@ -236,40 +237,50 @@ def ingest(
     return IngestReport(predictor=runner.predictor, stats=stats, runner=runner)
 
 
-def _predictor_from_checkpoint_dir(directory: Path) -> MinHashLinkPredictor:
-    """Load a predictor from a serial *or* sharded checkpoint directory."""
+def _servable(checkpoint):
+    """Pack a verified checkpoint's arrays as they are (dynamic CSR
+    checkpoints keep the predictor route)."""
+    if checkpoint.config.dynamic_mode:
+        return checkpoint.to_predictor()
+    return PackedSketches.from_arrays(checkpoint.export_arrays(), checkpoint.config)
+
+
+def _from_checkpoint_dir(directory: Path, metrics: MetricsRegistry):
+    """Load a serial *or* sharded checkpoint directory for serving."""
     from repro.parallel.worker import shard_directory
     from repro.stream.checkpoint import CheckpointManager
 
     shard_dirs = sorted(directory.glob("shard-*"))
-    if shard_dirs:
-        shards = []
-        for index, shard_dir in enumerate(shard_dirs):
-            if shard_dir != shard_directory(directory, index):
-                raise ReproError(
-                    f"sharded checkpoint layout in {directory} is not contiguous "
-                    f"(unexpected {shard_dir.name}); cannot merge a partial shard set"
-                )
-            checkpoint = CheckpointManager(shard_dir).load_latest()
-            if checkpoint is None:
-                raise ReproError(f"shard directory {shard_dir} holds no checkpoint")
-            shards.append(checkpoint.predictor)
-        if shards and shards[0].config.dynamic_mode:
-            return merge_dynamic_shards(shards)
-        return merge_shards(shards)
-    checkpoint = CheckpointManager(directory).load_latest()
-    if checkpoint is None:
-        raise ReproError(f"{directory} holds no checkpoint generations")
-    return checkpoint.predictor
+    if not shard_dirs:
+        checkpoint = CheckpointManager(directory, metrics=metrics).load_latest(_servable)
+        if checkpoint is None:
+            raise ReproError(f"{directory} holds no checkpoint generations")
+        return checkpoint.state
+    shards = []
+    for index, shard_dir in enumerate(shard_dirs):
+        if shard_dir != shard_directory(directory, index):
+            raise ReproError(
+                f"sharded checkpoint layout in {directory} is not contiguous "
+                f"(unexpected {shard_dir.name}); cannot merge a partial shard set"
+            )
+        checkpoint = CheckpointManager(shard_dir, metrics=metrics).load_latest(
+            lambda verified: verified
+        )
+        if checkpoint is None:
+            raise ReproError(f"shard directory {shard_dir} holds no checkpoint")
+        shards.append(checkpoint.state)
+    if shards[0].config.dynamic_mode:
+        return merge_dynamic_shards([shard.to_predictor() for shard in shards])
+    return PackedSketches.from_shards(shards)
 
 
-def _predictor_from_target(
-    target: Union[MinHashLinkPredictor, str, Path], caller: str
-) -> MinHashLinkPredictor:
+def _servable_from_target(
+    target: Union[MinHashLinkPredictor, str, Path], caller: str, metrics: MetricsRegistry
+):
     """Resolve a warm predictor, a ``.npz`` file or a checkpoint
-    directory (serial or sharded) to a predictor; ``caller`` names the
-    public verb in the type error."""
-    from repro.core.persistence import load_predictor
+    directory (serial or sharded) to what a :class:`QueryEngine` serves;
+    ``caller`` names the public verb in the type error."""
+    from repro.core.persistence import read_checkpoint
 
     if isinstance(target, LinkPredictor):
         return target
@@ -279,9 +290,9 @@ def _predictor_from_target(
         )
     path = Path(target)
     if path.is_dir():
-        return _predictor_from_checkpoint_dir(path)
+        return _from_checkpoint_dir(path, metrics)
     if path.is_file():
-        return load_predictor(path)
+        return _servable(read_checkpoint(path, metrics=metrics))
     raise ReproError(f"{path} is neither a predictor file nor a checkpoint directory")
 
 
@@ -297,13 +308,19 @@ def open_engine(
     * a ``.npz`` file written by ``save_predictor`` / ``predict
       --save-checkpoint``,
     * a checkpoint *directory* from ``ingest`` — serial
-      (``checkpoint-<gen>.npz`` generations) or sharded
-      (``shard-NN/`` subdirectories, merged on load).
+      (``checkpoint-<gen>.npz`` generations, newest intact one) or
+      sharded (``shard-NN/`` subdirectories, merged on load).
 
-    Keyword options pass through to :class:`QueryEngine` (``bands``,
-    ``rows``, ``batch_size``, ``metrics``, ...).
+    Persisted state is packed straight from the verified arrays, with
+    no predictor built (dynamic checkpoints excepted).  Keyword options
+    pass through to :class:`QueryEngine` (``bands``, ``rows``,
+    ``batch_size``, ``metrics``, ...); skipped corrupt generations
+    count into its ``checkpoint_corrupt_generations_total``.
     """
-    return QueryEngine(_predictor_from_target(target, "open_engine"), **engine_options)
+    metrics = engine_options.setdefault("metrics", MetricsRegistry())
+    return QueryEngine(
+        _servable_from_target(target, "open_engine", metrics), **engine_options
+    )
 
 
 def serve(
@@ -366,8 +383,9 @@ def serve(
             "source (live ingest + hot swap)"
         )
     if target is not None:
+        metrics = metrics if metrics is not None else MetricsRegistry()
         return SketchServer(
-            _predictor_from_target(target, "serve"),
+            _servable_from_target(target, "serve", metrics),
             host=host,
             port=port,
             refresh_every=0.0,

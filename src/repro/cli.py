@@ -490,9 +490,8 @@ def _emit_query_results(args: argparse.Namespace, rows: list, stats: dict) -> No
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    from repro.core.persistence import load_predictor
+    from repro.api import open_engine
     from repro.obs import MetricsRegistry, Tracer, render_trace
-    from repro.serve import QueryEngine
 
     registry = MetricsRegistry()
     tracer = Tracer(registry)
@@ -504,30 +503,27 @@ def _cmd_query(args: argparse.Namespace) -> int:
                     "--checkpoint-dir (an ingest directory), not both"
                 )
             if args.load_checkpoint:
-                predictor = load_predictor(args.load_checkpoint)
+                target = args.load_checkpoint
             elif args.checkpoint_dir:
-                from pathlib import Path
-
-                from repro.api import _predictor_from_checkpoint_dir
-
                 if not os.path.isdir(args.checkpoint_dir):
                     raise ReproError(
                         f"--checkpoint-dir: {args.checkpoint_dir!r} is not a directory"
                     )
-                predictor = _predictor_from_checkpoint_dir(Path(args.checkpoint_dir))
+                target = args.checkpoint_dir
             elif args.source:
-                predictor = build_predictor(
+                target = build_predictor(
                     "minhash", _config_from_args(args), expected_vertices=None
                 )
                 for edge in _load_edges(args.source, args.seed):
-                    predictor.update(edge.u, edge.v)
+                    target.update(edge.u, edge.v)
             else:
                 raise ReproError(
                     "query needs a source (dataset/edge list), --load-checkpoint, "
                     "or --checkpoint-dir"
                 )
         with tracer.span("pack"):
-            engine = QueryEngine(predictor, metrics=registry)
+            # A checkpoint is read, verified and packed here in one step.
+            engine = open_engine(target, metrics=registry)
         reporter = _metrics_reporter(args, registry)
         try:
             with tracer.span("score"):

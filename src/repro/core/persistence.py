@@ -3,7 +3,9 @@
 Long-running stream consumers need to survive restarts without
 replaying the stream.  Because a MinHash predictor's entire state is a
 set of fixed-width arrays plus a degree table, it serialises naturally
-into a single compressed ``.npz`` archive:
+into a single ``.npz`` archive, its members stored, not deflated
+(deflate took ~85% of the write time to shrink the archive ~45%, and
+uniform-hash values only ~10%):
 
 * ``values``/``witnesses`` — the per-vertex slot matrices, stacked in
   one ``(n, k)`` array each (row order = ``vertex_ids``),
@@ -14,11 +16,16 @@ into a single compressed ``.npz`` archive:
   :class:`~repro.errors.CheckpointCorruptError` instead of resuming
   from garbage.
 
-Restoring reconstructs a predictor that is *bit-identical* to the
-original: every future update and query gives the same answer (the
-round-trip test pins this).  Checkpoints embed a format version and the
-hash seed; loading a checkpoint into an incompatible library version or
-configuration fails loudly instead of silently mixing hash spaces.
+Loading is one verification step, :func:`read_checkpoint`, feeding two
+builders: :meth:`VerifiedCheckpoint.to_predictor` restores a predictor
+*bit-identical* to the original (every future update and query gives
+the same answer; the round-trip test pins this), and
+:meth:`VerifiedCheckpoint.export_arrays` hands the verified matrices to
+the serving tier with no predictor in between.  Deflated archives from
+earlier releases load the same way.  Checkpoints embed a format version
+and the hash seed; loading a checkpoint into an incompatible library
+version or configuration fails loudly instead of silently mixing hash
+spaces.
 
 Writes to a filesystem path are **atomic**: the archive is written to a
 temporary sibling file, flushed and fsynced, then moved over the target
@@ -41,22 +48,21 @@ import time
 import zipfile
 import zlib
 from pathlib import Path
-from typing import IO, Dict, Mapping, Optional, Tuple, Union
+from typing import IO, Dict, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
 from repro.core.config import SketchConfig
-from repro.core.degrees import ExactDegrees
 from repro.core.dynamic import DynamicArrays, DynamicMinHashPredictor
-from repro.core.predictor import MinHashLinkPredictor
+from repro.core.predictor import MinHashLinkPredictor, SketchArrays
 from repro.errors import CheckpointCorruptError, ConfigurationError, ReproError, SketchStateError
 from repro.obs.registry import MetricsRegistry
-from repro.sketches.minhash import KMinHash
 
 __all__ = [
     "save_predictor",
     "load_predictor",
-    "load_predictor_with_metadata",
+    "read_checkpoint",
+    "VerifiedCheckpoint",
     "FORMAT_VERSION",
 ]
 
@@ -69,8 +75,9 @@ PathLike = Union[str, Path]
 _META_PREFIX = "meta_"
 
 #: Exceptions numpy/zipfile raise on truncated or garbled archives.  A
-#: half-written ``.npz`` can die in the zip directory (``BadZipFile``),
-#: in a member's deflate stream (``zlib.error``), in the ``.npy`` header
+#: half-written ``.npz`` can die in the zip directory (``BadZipFile``,
+#: also a stored member's CRC), in a deflated member's stream
+#: (``zlib.error``, archives from earlier releases), in the ``.npy`` header
 #: parse (``ValueError``), or at a short read (``EOFError``/``OSError``).
 _CORRUPTION_ERRORS = (
     zipfile.BadZipFile,
@@ -99,14 +106,14 @@ def _payload_checksum(fields: Mapping[str, np.ndarray]) -> str:
         digest.update(b"\x00")
         digest.update(repr(array.shape).encode("utf-8"))
         digest.update(b"\x00")
-        digest.update(np.ascontiguousarray(array).tobytes())
+        digest.update(memoryview(np.ascontiguousarray(array)))
     return digest.hexdigest()
 
 
 def _savez_atomic(path_or_file: Union[PathLike, IO[bytes]], fields: Dict[str, np.ndarray]) -> None:
-    """Write ``fields`` as a compressed archive, atomically for paths."""
+    """Write ``fields`` as a stored archive, atomically for paths."""
     if hasattr(path_or_file, "write"):
-        np.savez_compressed(path_or_file, **fields)
+        np.savez(path_or_file, **fields)
         return
     path = Path(path_or_file)
     # np.savez appends ".npz" to suffixless *paths*, but not to open file
@@ -116,7 +123,7 @@ def _savez_atomic(path_or_file: Union[PathLike, IO[bytes]], fields: Dict[str, np
     tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
     try:
         with open(tmp, "wb") as handle:
-            np.savez_compressed(handle, **fields)
+            np.savez(handle, **fields)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -136,12 +143,12 @@ def save_predictor(
 
     ``metadata`` is an optional mapping of integer-valued fields (e.g.
     ``{"stream_offset": 1024}``) stored alongside the predictor state,
-    checksummed with it, and returned verbatim by
-    :func:`load_predictor_with_metadata`.
+    checksummed with it, and returned verbatim as
+    :attr:`VerifiedCheckpoint.metadata` by :func:`read_checkpoint`.
 
     ``metrics`` (optional) records the save into the ``persist_*``
     instruments: ``persist_save_seconds`` (latency histogram) and
-    ``persist_bytes_written_total`` (compressed archive bytes; file
+    ``persist_bytes_written_total`` (archive bytes; file
     objects report a position delta when they are seekable).
 
     Raises :class:`SketchStateError` for configurations whose state is
@@ -204,7 +211,7 @@ def save_predictor(
         written = _archive_bytes(path, before)
         if written is not None:
             metrics.counter(
-                "persist_bytes_written_total", "Compressed checkpoint bytes written"
+                "persist_bytes_written_total", "Checkpoint archive bytes written"
             ).inc(written)
     return saved_rows
 
@@ -247,24 +254,26 @@ def load_predictor(
     :class:`SketchStateError`) if the file is truncated, fails its
     embedded checksum, or is not a checkpoint archive at all.
     """
-    return load_predictor_with_metadata(path)[0]
+    return read_checkpoint(path).to_predictor()
 
 
-def load_predictor_with_metadata(
+def read_checkpoint(
     path: Union[PathLike, IO[bytes]],
     *,
     metrics: Optional[MetricsRegistry] = None,
-) -> Tuple[Union[MinHashLinkPredictor, DynamicMinHashPredictor], Dict[str, int]]:
-    """Like :func:`load_predictor`, also returning the metadata mapping
-    stored at save time (empty dict if none was supplied).
+) -> "VerifiedCheckpoint":
+    """Read and verify a checkpoint (field inventory, version,
+    checksum, configuration, metadata), building nothing from it yet.
 
-    ``metrics`` (optional) records successful loads into
+    ``metrics`` (optional) records successful reads into
     ``persist_load_seconds``.
     """
     started = time.perf_counter()
     try:
         with np.load(path) as archive:
-            restored = _restore(archive, describe(path))
+            checkpoint = _verify(
+                {field: archive[field] for field in archive.files}, describe(path)
+            )
     except ReproError:
         raise
     except FileNotFoundError:
@@ -275,9 +284,9 @@ def load_predictor_with_metadata(
         ) from error
     if metrics is not None and metrics.enabled:
         metrics.histogram(
-            "persist_load_seconds", "Wall seconds per checkpoint load"
+            "persist_load_seconds", "Wall seconds per checkpoint read and verification"
         ).observe(time.perf_counter() - started)
-    return restored
+    return checkpoint
 
 
 def describe(path: Union[PathLike, IO[bytes]]) -> str:
@@ -319,10 +328,49 @@ _DYNAMIC_REQUIRED_FIELDS = (
 )
 
 
-def _restore(
-    archive, name: str
-) -> Tuple[Union[MinHashLinkPredictor, DynamicMinHashPredictor], Dict[str, int]]:
-    fields = {field: archive[field] for field in archive.files}
+class VerifiedCheckpoint(NamedTuple):
+    """A checkpoint's fields after every load-time check passed."""
+
+    config: SketchConfig
+    fields: Dict[str, np.ndarray]
+    metadata: Dict[str, int]
+
+    def export_arrays(self) -> SketchArrays:
+        """The verified slot matrices, as
+        :meth:`MinHashLinkPredictor.export_arrays
+        <repro.core.predictor.MinHashLinkPredictor.export_arrays>` gives
+        them (dynamic checkpoints hold CSR state instead and raise)."""
+        if self.config.dynamic_mode:
+            raise SketchStateError("a dynamic checkpoint holds no slot matrices")
+        fields = self.fields
+        return SketchArrays(
+            fields["vertex_ids"],
+            fields["values"],
+            fields["witnesses"] if self.config.track_witnesses else None,
+            fields["update_counts"],
+            fields["degrees"],
+        )
+
+    def to_predictor(self) -> Union[MinHashLinkPredictor, DynamicMinHashPredictor]:
+        """A live predictor, bit-identical to the one that was saved."""
+        if not self.config.dynamic_mode:
+            return MinHashLinkPredictor.from_arrays(self.config, self.export_arrays())
+        fields = self.fields
+        return DynamicMinHashPredictor.from_dynamic_arrays(
+            self.config,
+            DynamicArrays(
+                vertex_ids=fields["vertex_ids"],
+                indptr=fields["adj_indptr"],
+                keys=fields["adj_keys"],
+                counts=fields["adj_counts"],
+                last_seen=fields["adj_last_seen"],
+                op_counts=fields["op_counts"],
+                high_water=float(fields["high_water"]),
+            ),
+        )
+
+
+def _verify(fields: Dict[str, np.ndarray], name: str) -> VerifiedCheckpoint:
     # Field inventory before anything else: a valid .npz that is not a
     # predictor checkpoint at all (or a half-schema from some other
     # tool) must fail with a diagnosis, not a KeyError traceback.  The
@@ -374,34 +422,4 @@ def _restore(
         for field, value in fields.items()
         if field.startswith(_META_PREFIX)
     }
-    if is_dynamic:
-        restored = DynamicMinHashPredictor.from_dynamic_arrays(
-            config,
-            DynamicArrays(
-                vertex_ids=fields["vertex_ids"],
-                indptr=fields["adj_indptr"],
-                keys=fields["adj_keys"],
-                counts=fields["adj_counts"],
-                last_seen=fields["adj_last_seen"],
-                op_counts=fields["op_counts"],
-                high_water=float(fields["high_water"]),
-            ),
-        )
-        return restored, metadata
-    predictor = MinHashLinkPredictor(config)
-    vertex_ids = fields["vertex_ids"]
-    values = fields["values"]
-    witnesses = fields["witnesses"]
-    update_counts = fields["update_counts"]
-    degrees = fields["degrees"]
-    degree_table: ExactDegrees = predictor._degrees  # type: ignore[assignment]
-    for row, vertex in enumerate(vertex_ids.tolist()):
-        predictor._sketches[vertex] = KMinHash.from_arrays(
-            predictor.bank,
-            values[row],
-            witnesses[row] if config.track_witnesses else None,
-            update_count=int(update_counts[row]),
-        )
-        if degrees[row]:
-            degree_table._counts[vertex] = int(degrees[row])
-    return predictor, metadata
+    return VerifiedCheckpoint(config, fields, metadata)

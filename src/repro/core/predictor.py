@@ -317,6 +317,27 @@ class MinHashLinkPredictor(LinkPredictor):
             degrees[row] = self.degree(vertex)
         return SketchArrays(vertex_ids, values, witnesses, update_counts, degrees)
 
+    @classmethod
+    def from_arrays(cls, config: SketchConfig, arrays: SketchArrays) -> "MinHashLinkPredictor":
+        """The inverse of :meth:`export_arrays` (exact degrees only):
+        answers every query and further update as the exported predictor
+        would.  Checkpoint restore and ``PackedSketches.to_predictor``
+        both come back through here."""
+        predictor = cls(config)
+        degree_table = predictor._degrees
+        if not isinstance(degree_table, ExactDegrees):
+            raise SketchStateError("from_arrays requires exact degrees")
+        for row, vertex in enumerate(arrays.vertex_ids.tolist()):
+            predictor._sketches[vertex] = KMinHash.from_arrays(
+                predictor.bank,
+                arrays.values[row],
+                arrays.witnesses[row] if arrays.witnesses is not None else None,
+                update_count=int(arrays.update_counts[row]),
+            )
+            if arrays.degrees[row]:
+                degree_table._counts[vertex] = int(arrays.degrees[row])
+        return predictor
+
     # ------------------------------------------------------------------
     # Distribution
     # ------------------------------------------------------------------

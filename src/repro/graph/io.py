@@ -247,12 +247,10 @@ def parse_edge_line(
 
 class LineDiagnostic(NamedTuple):
     """One data line's parse outcome: exactly one of ``record``/``error``
-    is set.  ``raw`` is the stripped line text for dead-letter triage.
-    ``edge`` is a convenience view of the parsed record's edge."""
+    is set.  ``raw`` is the stripped line text for dead-letter triage."""
 
     line_number: int
     raw: str
-    edge: Optional[Edge] = None
     error: Optional[StreamFormatError] = None
     record: Optional[StreamRecord] = None
 
@@ -261,19 +259,17 @@ def scan_edge_list(
     path: PathLike,
     relabeler: Optional["VertexRelabeler"] = None,
     allow_self_loops: bool = False,
-    accept_ops: bool = False,
 ) -> Iterator[LineDiagnostic]:
     """Stream per-line parse diagnostics instead of aborting on the
     first malformed line.
 
     Yields one :class:`LineDiagnostic` per data line — a parsed
-    ``record`` (with its ``edge`` view) or the typed ``error`` (with
-    ``.reason``) it produced — which is exactly the shape a dead-letter
-    channel wants.  Comments and blank lines are skipped; dropped
-    self-loops (when ``allow_self_loops`` is false) are skipped
-    silently, matching :func:`iter_edge_list`.  With ``accept_ops``
-    the dynamic grammar applies and diagnostics may carry ``delete``
-    records; the default keeps the legacy append-only grammar.
+    ``record`` or the typed ``error`` (with ``.reason``) it produced —
+    which is exactly the shape a dead-letter channel wants.  Comments
+    and blank lines are skipped; dropped self-loops (when
+    ``allow_self_loops`` is false) are skipped silently, matching
+    :func:`iter_edge_list`.  The legacy append-only grammar applies:
+    op tokens are not recognised, so every record is an ``add``.
     """
     index = 0
     with open(path, "r", encoding="utf-8") as handle:
@@ -287,14 +283,14 @@ def scan_edge_list(
                     line_number=line_number,
                     default_timestamp=float(index),
                     relabeler=relabeler,
-                    accept_ops=accept_ops,
+                    accept_ops=False,
                 )
             except StreamFormatError as error:
                 yield LineDiagnostic(line_number, text, error=error)
                 continue
             if record.u == record.v and not allow_self_loops:
                 continue  # SNAP files occasionally carry self-loops; drop them
-            yield LineDiagnostic(line_number, text, edge=record.edge, record=record)
+            yield LineDiagnostic(line_number, text, record=record)
             index += 1
 
 
@@ -326,8 +322,8 @@ def iter_edge_list(
             if on_error == "raise":
                 raise diagnostic.error
             continue
-        assert diagnostic.edge is not None
-        yield diagnostic.edge
+        assert diagnostic.record is not None
+        yield diagnostic.record.edge
 
 
 def read_edge_list(

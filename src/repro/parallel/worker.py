@@ -84,7 +84,7 @@ def shard_worker_main(
         if resume and manager is not None:
             checkpoint = manager.load_latest()
             if checkpoint is not None:
-                predictor = checkpoint.predictor
+                predictor = checkpoint.state
                 offset = checkpoint.offset
                 generation = checkpoint.generation
         result_queue.put(("ready", shard, offset, generation))

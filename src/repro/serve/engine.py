@@ -58,8 +58,9 @@ class QueryEngine(object):
     Parameters
     ----------
     predictor:
-        The warm :class:`MinHashLinkPredictor` to serve from; packed
-        (snapshotted) immediately.
+        The warm :class:`MinHashLinkPredictor` to serve from, packed
+        (snapshotted) immediately; or a :class:`PackedSketches` served
+        as is (:attr:`predictor` is then ``None``).
     bands / rows:
         Banding shape for the ``top_k`` candidate index.  The default
         (``rows=1``, ``bands=k``) gives exact recall — pruning never
@@ -88,7 +89,7 @@ class QueryEngine(object):
 
     def __init__(
         self,
-        predictor: MinHashLinkPredictor,
+        predictor: Union[MinHashLinkPredictor, PackedSketches],
         *,
         bands: Optional[int] = None,
         rows: Optional[int] = None,
@@ -103,13 +104,17 @@ class QueryEngine(object):
             )
         if batch_size < 1:
             raise ConfigurationError(f"batch_size must be positive, got {batch_size}")
-        self.predictor = predictor
-        self.bands = bands if bands is not None else predictor.config.k
+        if isinstance(predictor, PackedSketches):
+            self.predictor: Optional[MinHashLinkPredictor] = None
+            self.store = predictor
+        else:
+            self.predictor = predictor
+            self.store = PackedSketches.from_predictor(predictor)
+        self.bands = bands if bands is not None else self.store.k
         self.rows = rows if rows is not None else 1
         self.min_degree = min_degree
         self.batch_size = batch_size
         self.clock = clock
-        self.store = PackedSketches.from_predictor(predictor)
         self._index: Optional[LshCandidateIndex] = None
         self._index_seconds = 0.0
         #: The instrument namespace behind stats() and the exporters.
@@ -163,7 +168,8 @@ class QueryEngine(object):
         """Re-pack the predictor's current state (and rebuild the
         candidate index lazily on the next ``top_k``).  Counters reset:
         they describe one served snapshot."""
-        self.store = PackedSketches.from_predictor(self.predictor)
+        if self.predictor is not None:
+            self.store = PackedSketches.from_predictor(self.predictor)
         self._index = None
         self._index_seconds = 0.0
         for instrument in (

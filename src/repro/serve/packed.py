@@ -31,7 +31,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.predictor import MinHashLinkPredictor
+from repro.core.config import SketchConfig
+from repro.core.predictor import MinHashLinkPredictor, SketchArrays
 from repro.errors import ConfigurationError, SketchStateError
 from repro.sketches.minhash import EMPTY_SLOT, NO_WITNESS
 
@@ -43,8 +44,8 @@ VertexBatch = Union[Sequence[int], np.ndarray]
 class PackedSketches(object):
     """A predictor's sketches as one contiguous matrix per component.
 
-    Build with :meth:`from_predictor`; all arrays are copies owned by
-    this object (the predictor may keep streaming).
+    Build with :meth:`from_predictor` (copies: the predictor may keep
+    streaming) or straight from a checkpoint with :meth:`from_arrays`.
     """
 
     __slots__ = (
@@ -94,6 +95,22 @@ class PackedSketches(object):
         self._weight_cache: dict = {}
 
     @classmethod
+    def from_arrays(
+        cls, arrays: SketchArrays, config: SketchConfig, *, pack_seconds: float = 0.0
+    ) -> "PackedSketches":
+        """Adopt exported arrays (e.g. a verified checkpoint's) as they are."""
+        return cls(
+            arrays.vertex_ids,
+            arrays.values,
+            arrays.witnesses,
+            arrays.degrees,
+            arrays.update_counts,
+            k=config.k,
+            seed=config.seed,
+            pack_seconds=pack_seconds,
+        )
+
+    @classmethod
     def from_predictor(cls, predictor: MinHashLinkPredictor) -> "PackedSketches":
         """Snapshot a predictor into packed form (timed; see
         :attr:`pack_seconds`)."""
@@ -101,23 +118,13 @@ class PackedSketches(object):
         # the packed arrays; the bit-identity contract is unaffected.
         started = time.perf_counter()  # repro-lint: disable=RL001
         exported = predictor.export_arrays()
-        return cls(
-            exported.vertex_ids,
-            exported.values,
-            exported.witnesses,
-            exported.degrees,
-            exported.update_counts,
-            k=predictor.config.k,
-            seed=predictor.config.seed,
-            # Telemetry field only; see the note on `started` above.
-            pack_seconds=time.perf_counter() - started,  # repro-lint: disable=RL001
-        )
+        # Telemetry field only; see the note on `started` above.
+        elapsed = time.perf_counter() - started  # repro-lint: disable=RL001
+        return cls.from_arrays(exported, predictor.config, pack_seconds=elapsed)
 
     @classmethod
-    def from_shards(
-        cls, shards: Sequence[MinHashLinkPredictor]
-    ) -> "PackedSketches":
-        """Pack shard predictors straight into merged matrices.
+    def from_shards(cls, shards: Sequence) -> "PackedSketches":
+        """Pack shards straight into merged matrices.
 
         The serving-side join of parallel ingestion: rather than
         reducing N shard predictors into one merged predictor object
@@ -127,7 +134,8 @@ class PackedSketches(object):
         summed counters are computed as array folds, so the result is
         **bit-identical** to
         ``from_predictor(merge_shards(shards))`` without the
-        intermediate predictor ever existing.
+        intermediate predictor ever existing.  A shard is a predictor or
+        a :class:`~repro.core.persistence.VerifiedCheckpoint`.
 
         All shards must share one configuration, and that configuration
         must be mergeable (exact degrees — see
@@ -285,27 +293,15 @@ class PackedSketches(object):
         recomputes scores *offline* for a generation it only knows as
         packed arrays.
         """
-        from repro.core.config import SketchConfig
-        from repro.core.degrees import ExactDegrees
-        from repro.sketches.minhash import KMinHash
-
         config = SketchConfig(
             k=self.k, seed=self.seed, track_witnesses=self.witnesses is not None
         )
-        predictor = MinHashLinkPredictor(config)
-        degree_table = predictor._degrees
-        if not isinstance(degree_table, ExactDegrees):  # pragma: no cover
-            raise SketchStateError("to_predictor requires exact degrees")
-        for row, vertex in enumerate(self.vertex_ids.tolist()):
-            predictor._sketches[vertex] = KMinHash.from_arrays(
-                predictor.bank,
-                self.values[row],
-                self.witnesses[row] if self.witnesses is not None else None,
-                update_count=int(self.update_counts[row]),
-            )
-            if self.degrees[row]:
-                degree_table._counts[vertex] = int(self.degrees[row])
-        return predictor
+        return MinHashLinkPredictor.from_arrays(
+            config,
+            SketchArrays(
+                self.vertex_ids, self.values, self.witnesses, self.update_counts, self.degrees
+            ),
+        )
 
     def nominal_bytes(self) -> int:
         """Packed size of the matrices (the serving-tier memory cost)."""

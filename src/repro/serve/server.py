@@ -320,7 +320,8 @@ class _IngestWorker(threading.Thread):
 class SketchServer:
     """The asyncio HTTP serving tier over a (possibly live) predictor.
 
-    Construct with either a frozen ``predictor`` (static serving — no
+    Construct with either a frozen ``predictor`` or
+    :class:`~repro.serve.packed.PackedSketches` (static serving — no
     background writes, no refresh) or a warm ``runner`` (the server
     drives its ingest in a background thread and hot-swaps generations
     on the refresh cadence).  Most applications reach this through
@@ -329,7 +330,8 @@ class SketchServer:
     Parameters
     ----------
     predictor:
-        Serve this predictor's current state as generation 1, statically.
+        Serve this predictor's current state as generation 1, statically
+        — or a :class:`~repro.serve.packed.PackedSketches` as is.
     runner:
         A configured (optionally resumed) :class:`StreamRunner`; its
         predictor is packed as generation 1 and its source is consumed
@@ -496,7 +498,8 @@ class SketchServer:
     @property
     def predictor(self):
         """The live predictor (re-read through the runner, which may
-        replace its predictor object on :meth:`StreamRunner.resume`)."""
+        replace its predictor object on :meth:`StreamRunner.resume`),
+        or the static predictor or pack."""
         return self.runner.predictor if self.runner is not None else self._static_predictor
 
     def _build_generation(self) -> Generation:

@@ -3,8 +3,9 @@
 :class:`CheckpointManager` owns a directory of checkpoint files named
 ``<basename>-<generation>.npz`` with strictly increasing generation
 numbers.  Each file is a hardened :mod:`repro.core.persistence` archive
-(atomic temp-file + ``os.replace`` write, embedded sha256, embedded
-stream offset), so the failure story composes:
+(stored, not deflated; atomic temp-file + ``os.replace`` write,
+embedded sha256, embedded stream offset), so the failure story
+composes:
 
 * **crash mid-write** — the temp file is torn, the previous generation
   is untouched; the stray temp is swept on the next save,
@@ -13,6 +14,10 @@ stream offset), so the failure story composes:
   :meth:`load_latest` falls back to the next older generation,
 * **all generations corrupt** — :meth:`load_latest` raises, because
   resuming from garbage is the one unacceptable outcome.
+
+:meth:`load_latest` hands the newest verified generation to a builder:
+the live predictor for ingest resume by default, or a pack of the
+verified arrays for serving — one fallback loop for both.
 
 Rotation keeps the newest ``keep`` generations.  ``keep`` trades disk
 for recovery depth: with cadence *N* and ``keep=3`` a consumer can lose
@@ -23,9 +28,9 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import Any, Callable, List, NamedTuple, Optional, Union
 
-from repro.core.persistence import load_predictor_with_metadata, save_predictor
+from repro.core.persistence import VerifiedCheckpoint, read_checkpoint, save_predictor
 from repro.core.predictor import MinHashLinkPredictor
 from repro.errors import CheckpointCorruptError, ConfigurationError
 from repro.obs.registry import MetricsRegistry
@@ -36,9 +41,11 @@ PathLike = Union[str, Path]
 
 
 class Checkpoint(NamedTuple):
-    """A successfully loaded checkpoint: state + resume position."""
+    """A successfully loaded checkpoint: state (what
+    :meth:`CheckpointManager.load_latest`'s builder made, the predictor
+    by default) + resume position."""
 
-    predictor: MinHashLinkPredictor
+    state: Any
     offset: int
     generation: int
     path: Path
@@ -133,7 +140,9 @@ class CheckpointManager:
         generations = self.generations()
         return generations[0] if generations else 0
 
-    def load_latest(self) -> Optional[Checkpoint]:
+    def load_latest(
+        self, build: Callable[[VerifiedCheckpoint], Any] = VerifiedCheckpoint.to_predictor
+    ) -> Optional[Checkpoint]:
         """Load the newest *intact* checkpoint, or ``None`` if none exist.
 
         Corrupt generations are skipped (newest-first) — this is the
@@ -141,20 +150,23 @@ class CheckpointManager:
         rot.  If every generation is corrupt, the newest generation's
         :class:`~repro.errors.CheckpointCorruptError` is re-raised:
         silently starting from scratch would replay the whole stream
-        into doubled degree counts.
+        into doubled degree counts.  ``build`` makes
+        :attr:`Checkpoint.state` from the verified generation.
         """
         first_error: Optional[CheckpointCorruptError] = None
         for generation in self.generations():
             path = self._path_for(generation)
             try:
-                predictor, metadata = load_predictor_with_metadata(path, metrics=self.metrics)
+                verified = read_checkpoint(path, metrics=self.metrics)
             except CheckpointCorruptError as error:
                 if self._m_corrupt is not None:
                     self._m_corrupt.inc()
                 if first_error is None:
                     first_error = error
                 continue
-            return Checkpoint(predictor, metadata.get("stream_offset", 0), generation, path)
+            return Checkpoint(
+                build(verified), verified.metadata.get("stream_offset", 0), generation, path
+            )
         if first_error is not None:
             raise first_error
         return None

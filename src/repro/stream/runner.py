@@ -217,7 +217,7 @@ class StreamRunner:
         checkpoint = self.checkpoints.load_latest()
         if checkpoint is None:
             return False
-        self.predictor = self._fold.predictor = checkpoint.predictor
+        self.predictor = self._fold.predictor = checkpoint.state
         self.offset = checkpoint.offset
         self.resumed_from = checkpoint.generation
         self._last_checkpoint_offset = checkpoint.offset

@@ -9,7 +9,7 @@ from repro.core import MinHashLinkPredictor, SketchConfig
 from repro.core.persistence import (
     FORMAT_VERSION,
     load_predictor,
-    load_predictor_with_metadata,
+    read_checkpoint,
     save_predictor,
 )
 from repro.errors import ConfigurationError, SketchStateError
@@ -20,6 +20,16 @@ from tests.conftest import TOY_EDGES
 
 def checkpoint_path(tmp_path):
     return tmp_path / "predictor.npz"
+
+
+#: The two archive writers a checkpoint may come from: ``save_predictor``
+#: stores its members; earlier releases deflated the same fields.
+WRITERS = {"stored": np.savez, "deflated": np.savez_compressed}
+
+
+def read_fields(path):
+    with np.load(path) as archive:
+        return {name: archive[name] for name in archive.files}
 
 
 class TestRoundTrip:
@@ -121,13 +131,11 @@ class TestIntegrity:
 
     def test_metadata_round_trips(self, tmp_path):
         _, path = self._saved(tmp_path, metadata={"stream_offset": 4242, "generation": 7})
-        _, metadata = load_predictor_with_metadata(path)
-        assert metadata == {"stream_offset": 4242, "generation": 7}
+        assert read_checkpoint(path).metadata == {"stream_offset": 4242, "generation": 7}
 
     def test_no_metadata_is_empty_dict(self, tmp_path):
         _, path = self._saved(tmp_path)
-        _, metadata = load_predictor_with_metadata(path)
-        assert metadata == {}
+        assert read_checkpoint(path).metadata == {}
 
     def test_suffixless_path_gets_npz_suffix(self, tmp_path):
         """np.savez appends .npz to suffixless paths; the atomic path
@@ -143,24 +151,81 @@ class TestIntegrity:
         from repro.errors import CheckpointCorruptError
 
         _, path = self._saved(tmp_path)
-        with np.load(path) as archive:
-            fields = {name: archive[name] for name in archive.files}
+        fields = read_fields(path)
         values = fields["values"].copy()
         values[0, 0] ^= 1  # single bit flip, archive stays a valid zip
         fields["values"] = values
-        np.savez_compressed(path, **fields)
-        with pytest.raises(CheckpointCorruptError, match="checksum"):
-            load_predictor(path)
+        for writer in WRITERS.values():
+            writer(path, **fields)
+            with pytest.raises(CheckpointCorruptError, match="checksum"):
+                load_predictor(path)
 
     @pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9, 0.99])
     def test_truncation_at_any_offset_rejected(self, tmp_path, fraction):
         from repro.errors import CheckpointCorruptError
 
         _, path = self._saved(tmp_path, k=32)
-        raw = path.read_bytes()
-        path.write_bytes(raw[: int(len(raw) * fraction)])
-        with pytest.raises(CheckpointCorruptError):
-            load_predictor(path)
+        fields = read_fields(path)
+        for writer in WRITERS.values():
+            writer(path, **fields)
+            raw = path.read_bytes()
+            path.write_bytes(raw[: int(len(raw) * fraction)])
+            with pytest.raises(CheckpointCorruptError):
+                load_predictor(path)
+
+    def test_members_are_stored_not_deflated(self, tmp_path):
+        import zipfile
+
+        _, path = self._saved(tmp_path)
+        with zipfile.ZipFile(path) as archive:
+            assert {info.compress_type for info in archive.infolist()} == {
+                zipfile.ZIP_STORED
+            }
+
+    def test_checksum_matches_the_tobytes_formula(self, tmp_path):
+        """Hashing array buffers in place must give the digest the
+        earlier ``tobytes()`` copies gave, byte for byte."""
+        import hashlib
+
+        _, path = self._saved(tmp_path, metadata={"stream_offset": 5})
+        fields = read_fields(path)
+        stored = bytes(fields.pop("sha256")).hex()
+        digest = hashlib.sha256()
+        for name in sorted(fields):
+            array = np.asarray(fields[name])
+            digest.update(name.encode("utf-8") + b"\x00")
+            digest.update(str(array.dtype).encode("utf-8") + b"\x00")
+            digest.update(repr(array.shape).encode("utf-8") + b"\x00")
+            digest.update(np.ascontiguousarray(array).tobytes())
+        assert digest.hexdigest() == stored
+
+    @pytest.mark.parametrize("track_witnesses", [True, False])
+    def test_deflated_checkpoint_loads_through_both_builders(
+        self, tmp_path, track_witnesses
+    ):
+        """A checkpoint written the earlier way (same fields, deflated)
+        restores bit-identically as a predictor and as arrays."""
+        predictor = MinHashLinkPredictor(
+            SketchConfig(k=16, seed=8, track_witnesses=track_witnesses)
+        )
+        predictor.process(erdos_renyi(60, 200, seed=4))
+        path = checkpoint_path(tmp_path)
+        save_predictor(predictor, path, metadata={"generation": 3})
+        np.savez_compressed(path, **read_fields(path))
+        expected = predictor.export_arrays()
+
+        checkpoint = read_checkpoint(path)
+        assert checkpoint.metadata == {"generation": 3}
+        for arrays in (
+            checkpoint.export_arrays(),
+            checkpoint.to_predictor().export_arrays(),
+        ):
+            for name, array in expected._asdict().items():
+                got = getattr(arrays, name)
+                if array is None:
+                    assert got is None, name
+                else:
+                    assert got.dtype == array.dtype and np.array_equal(got, array), name
 
     def test_missing_file_is_not_corrupt(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -178,8 +243,7 @@ class TestValidation:
         predictor.process(from_pairs(TOY_EDGES))
         path = checkpoint_path(tmp_path)
         save_predictor(predictor, path)
-        with np.load(path) as archive:
-            fields = {name: archive[name] for name in archive.files}
+        fields = read_fields(path)
         fields["format_version"] = np.int64(FORMAT_VERSION + 1)
         np.savez_compressed(path, **fields)
         with pytest.raises(ConfigurationError, match="version"):
@@ -195,9 +259,7 @@ class TestLoadErrorContract:
         predictor.process(from_pairs(TOY_EDGES))
         path = checkpoint_path(tmp_path)
         save_predictor(predictor, path)
-        with np.load(path) as archive:
-            fields = {name: archive[name] for name in archive.files}
-        return path, fields
+        return path, read_fields(path)
 
     def _rewrite(self, path, fields):
         """Re-checksum and rewrite, so only the *semantic* change is

@@ -128,12 +128,12 @@ class TestLenientParsing:
         diagnostics = list(scan_edge_list(path))
         assert len(diagnostics) == 3
         good, bad, tail = diagnostics
-        assert good.edge == Edge(0, 1, 0.0) and good.error is None
-        assert bad.edge is None
+        assert good.record.edge == Edge(0, 1, 0.0) and good.error is None
+        assert bad.record is None
         assert bad.error.reason == reason
         assert bad.error.line_number == 2
         assert bad.raw == line
-        assert tail.edge == Edge(2, 3, 1.0)  # index not burned by the bad line
+        assert tail.record.edge == Edge(2, 3, 1.0)  # index not burned by the bad line
 
     def test_skip_mode_preserves_index_timestamps(self, tmp_path):
         path = tmp_path / "graph.txt"
@@ -146,7 +146,7 @@ class TestLenientParsing:
         path.write_text("0 0\n1 2\n")
         diagnostics = list(scan_edge_list(path))
         assert len(diagnostics) == 1
-        assert diagnostics[0].edge == Edge(1, 2, 0.0)
+        assert diagnostics[0].record.edge == Edge(1, 2, 0.0)
 
     def test_unknown_on_error_rejected(self, tmp_path):
         path = tmp_path / "graph.txt"
@@ -158,7 +158,7 @@ class TestLenientParsing:
         path = tmp_path / "graph.txt"
         path.write_text("alice bob\n")
         diagnostics = list(scan_edge_list(path, relabeler=VertexRelabeler()))
-        assert diagnostics[0].edge == Edge(0, 1, 0.0)
+        assert diagnostics[0].record.edge == Edge(0, 1, 0.0)
 
 
 class TestHostileTokens:

@@ -132,6 +132,23 @@ class TestSourceResolution:
         assert main(["query", "--vertex", "3"]) == 2
         assert "--load-checkpoint" in capsys.readouterr().err
 
+    def test_junk_checkpoint_is_an_error(self, tmp_path, capsys):
+        junk = tmp_path / "checkpoint-1.npz"
+        np.savez(junk, noise=np.arange(3))
+        for flag, target in (("--load-checkpoint", junk), ("--checkpoint-dir", tmp_path)):
+            assert main(["query", flag, str(target), "--vertex", "0"]) == 2
+            assert "not a predictor checkpoint archive" in capsys.readouterr().err
+
+    def test_missing_checkpoint_is_an_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        assert main(["query", "--checkpoint-dir", str(missing), "--vertex", "0"]) == 2
+        assert "is not a directory" in capsys.readouterr().err
+        code = main(["query", "--load-checkpoint", str(missing / "x.npz"), "--vertex", "0"])
+        assert code == 2
+        assert "neither a predictor file nor a checkpoint directory" in (
+            capsys.readouterr().err
+        )
+
     def test_both_modes_is_an_error(self, graph_file, pairs_file, capsys):
         code = main(
             [

@@ -11,6 +11,7 @@ from repro.errors import ConfigurationError, SketchStateError
 from repro.exact.measures import MEASURES
 from repro.graph.generators import erdos_renyi
 from repro.serve import QueryEngine
+from repro.serve.packed import PackedSketches
 
 ALL_MEASURES = sorted(MEASURES)
 
@@ -71,6 +72,19 @@ class TestScoreManyParity:
         assert engine.score(0, 1, "jaccard") == pytest.approx(
             engine.predictor.score(0, 1, "jaccard")
         )
+
+    def test_serves_a_packed_store_as_is(self, engine, query_pairs):
+        frozen = QueryEngine(PackedSketches.from_predictor(engine.predictor))
+        assert frozen.predictor is None
+        store = frozen.store
+        frozen.refresh()  # nothing to re-pack: the same pack stays served
+        assert frozen.store is store
+        assert frozen.bands == engine.bands
+        assert np.array_equal(
+            frozen.score_many(query_pairs, "adamic_adar"),
+            engine.score_many(query_pairs, "adamic_adar"),
+        )
+        assert frozen.top_k(3, "jaccard", k=5) == engine.top_k(3, "jaccard", k=5)
 
     def test_witness_measures_need_witness_tracking(self):
         engine = QueryEngine(warm_predictor(track_witnesses=False))

@@ -15,7 +15,7 @@ import pytest
 
 from repro.api import ingest
 from repro.core import MinHashLinkPredictor, SketchConfig
-from repro.core.persistence import load_predictor_with_metadata
+from repro.core.persistence import read_checkpoint
 from repro.errors import ConfigurationError, DeadLetterError
 from repro.stream import CheckpointManager, IteratorEdgeSource, StreamRunner
 from repro.stream.casebook import sketch_fingerprint
@@ -186,7 +186,7 @@ class TestFacadeAndSharded:
 
         def checkpoint_offsets(directory):
             return {
-                path.relative_to(directory).as_posix(): load_predictor_with_metadata(path)[1][
+                path.relative_to(directory).as_posix(): read_checkpoint(path).metadata[
                     "stream_offset"
                 ]
                 for path in sorted(directory.glob("shard-*/checkpoint-*.npz"))

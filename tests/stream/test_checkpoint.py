@@ -36,7 +36,7 @@ class TestGenerations:
         assert checkpoint is not None
         assert checkpoint.generation == 2
         assert checkpoint.offset == 200
-        assert checkpoint.predictor.vertex_count == predictor.vertex_count
+        assert checkpoint.state.vertex_count == predictor.vertex_count
 
     def test_empty_directory_loads_none(self, tmp_path):
         assert CheckpointManager(tmp_path).load_latest() is None

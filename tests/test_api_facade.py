@@ -8,9 +8,11 @@ import pytest
 import repro
 import repro.api
 from repro import IngestReport, SketchConfig, build_predictor, evaluate, ingest, open_engine
-from repro.core import BiasedMinHashLinkPredictor, MinHashLinkPredictor
+from repro.core import BiasedMinHashLinkPredictor, MinHashLinkPredictor, merge_shards
+from repro.core.persistence import load_predictor
 from repro.errors import ConfigurationError, ReproError
 from repro.serve import QueryEngine
+from repro.stream.checkpoint import CheckpointManager
 
 EDGES = [(u % 60, (u * 7 + 1) % 60) for u in range(600)] + [
     (u % 60, (u + 1) % 60) for u in range(600)
@@ -141,6 +143,46 @@ class TestOpenEngine:
         report = ingest(edge_file, config=SketchConfig(k=8, seed=2))
         engine = open_engine(report.predictor, batch_size=16)
         assert engine.batch_size == 16
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_checkpoint_dir_packs_like_the_predictor_route(
+        self, edge_file, tmp_path, workers
+    ):
+        """open_engine packs straight from the verified arrays; the
+        answers equal those of an engine over restored predictors."""
+        ckpt = tmp_path / "ck"
+        ingest(edge_file, config=SketchConfig(k=16, seed=3), workers=workers,
+               checkpoint_dir=ckpt, checkpoint_every=150)
+        directories = sorted(ckpt.glob("shard-*")) or [ckpt]
+        restored = [CheckpointManager(d).load_latest().state for d in directories]
+        reference = QueryEngine(merge_shards(restored))
+        engine = open_engine(ckpt)
+        assert engine.predictor is None  # no predictor was built
+        assert engine.store.fingerprint() == reference.store.fingerprint()
+        pairs = [(u, v) for u in range(0, 60, 3) for v in range(1, 60, 7)]
+        for measure in ("jaccard", "common_neighbors", "adamic_adar"):
+            assert engine.score_many(pairs, measure).tolist() == (
+                reference.score_many(pairs, measure).tolist()
+            )
+        for u in (0, 7, 31):
+            assert engine.top_k(u, "jaccard", k=5) == reference.top_k(u, "jaccard", k=5)
+
+    def test_corrupt_newest_generation_serves_the_previous_one(
+        self, edge_file, tmp_path
+    ):
+        ckpt = tmp_path / "ck"
+        ingest(edge_file, config=SketchConfig(k=16, seed=3),
+               checkpoint_dir=ckpt, checkpoint_every=300)
+        manager = CheckpointManager(ckpt)
+        newest, previous = manager.generations()[:2]
+        expected = QueryEngine(
+            load_predictor(ckpt / f"checkpoint-{previous}.npz")
+        ).store.fingerprint()
+        path = ckpt / f"checkpoint-{newest}.npz"
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        engine = open_engine(ckpt)
+        assert engine.store.fingerprint() == expected
+        assert engine.metrics.get("checkpoint_corrupt_generations_total").value == 1
 
     def test_missing_path_raises(self, tmp_path):
         with pytest.raises(ReproError):
