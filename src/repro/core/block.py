@@ -41,6 +41,12 @@ arrival achieving each final minimum — the witness the sequential loop
 would have kept.  (``reduceat`` over presorted segments is several
 times faster than ``np.minimum.at``'s unbuffered scatter on CPython,
 and needs no atomics.)
+
+The batch minima then go straight into the predictor's columnar store
+(:mod:`repro.core.predictor`): unseen vertices get rows appended, and
+all rows are gathered by fancy index, merged with a strict-``<``
+scatter-min and written back in place, so the batch matrices die with
+the call.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.sketches.minhash import EMPTY_SLOT, KMinHash
+from repro.sketches.minhash import EMPTY_SLOT
 
 __all__ = ["coerce_edge_batch", "coerce_timestamp_batch", "apply_edge_block", "apply_dynamic_block"]
 
@@ -187,8 +193,7 @@ def apply_edge_block(predictor, us, vs) -> int:
     multi_rows = np.flatnonzero(segment_lengths > 1)
 
     batch_min = np.empty((n, k), dtype=np.uint64)
-    if track:
-        batch_witness = np.empty((n, k), dtype=np.int64)
+    batch_witness = np.empty((n, k), dtype=np.int64) if track else None
     if single_rows.size:
         single_pairs = segment_starts[single_rows]
         batch_min[single_rows] = hashed[pair_keys[single_pairs]]
@@ -223,64 +228,12 @@ def apply_edge_block(predictor, us, vs) -> int:
 
     # Arrival counts per vertex: duplicates are idempotent on the slots
     # but still bump update_count, exactly like repeated scalar updates.
-    arrivals = np.bincount(rows, minlength=n).tolist()
+    arrivals = np.bincount(rows, minlength=n)
 
-    table = predictor._sketches
-    target_ids = unique_targets.tolist()
-    sketches = [table.get(vertex) for vertex in target_ids]
-    unseen_rows = [row for row, sketch in enumerate(sketches) if sketch is None]
-    seen_rows = [row for row, sketch in enumerate(sketches) if sketch is not None]
-
-    # Unseen vertices: the batch minimum *is* the sketch.  Each adopts a
-    # row view of one batch-private gather per array — sibling sketches
-    # share a base they never write across, and list() peels the rows
-    # off in a single C pass.
-    if unseen_rows:
-        value_rows = list(batch_min[unseen_rows])
-        witness_rows = list(batch_witness[unseen_rows]) if track else None
-        for j, row in enumerate(unseen_rows):
-            table[target_ids[row]] = KMinHash._adopt_arrays(
-                bank,
-                value_rows[j],
-                witness_rows[j] if track else None,
-                arrivals[row],
-            )
-
-    # Seen vertices: gather pre-batch state into packed matrices, merge
-    # vectorized, and *swap* each changed sketch's arrays for row views
-    # of the merged matrices (cheaper than per-row masked writebacks).
-    # Only a *strict* improvement overwrites a slot (and its witness); a
-    # batch minimum merely equalling the pre-batch value leaves the
-    # pre-batch value and witness in place — the scalar
-    # `hashes < values` rule.
-    if seen_rows:
-        seen_sketches = [sketches[row] for row in seen_rows]
-        old_values = np.stack([sketch.values for sketch in seen_sketches])
-        seen_min = batch_min[seen_rows]
-        improved = seen_min < old_values
-        changed_idx = np.flatnonzero(improved.any(axis=1))
-        if changed_idx.size:
-            new_values = np.minimum(seen_min, old_values, out=seen_min)
-            changed_list = changed_idx.tolist()
-            value_rows = list(new_values[changed_idx])
-            if track:
-                old_witnesses = np.stack(
-                    [seen_sketches[i].witnesses for i in changed_list]
-                )
-                seen_witness = batch_witness[
-                    np.asarray(seen_rows, dtype=np.intp)[changed_idx]
-                ]
-                witness_rows = list(
-                    np.where(improved[changed_idx], seen_witness, old_witnesses)
-                )
-            for j, i in enumerate(changed_list):
-                sketch = seen_sketches[i]
-                sketch.values = value_rows[j]
-                if track:
-                    sketch.witnesses = witness_rows[j]
-        for row, sketch in zip(seen_rows, seen_sketches):
-            sketch.update_count += arrivals[row]
-
+    # Unseen vertices take their batch minima as they are; seen ones keep
+    # a pre-batch slot and witness unless the batch minimum is strictly
+    # smaller — the scalar `hashes < values` rule.
+    predictor._merge_rows(unique_targets, batch_min, batch_witness, arrivals)
     predictor._degrees.increment_block(us, vs)
     return m
 

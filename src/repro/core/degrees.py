@@ -24,7 +24,6 @@ from typing import Dict
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.sketches.countmin import CountMin
 
 __all__ = ["DegreeTracker", "ExactDegrees", "CountMinDegrees"]
@@ -58,18 +57,6 @@ class DegreeTracker(ABC):
     def nominal_bytes(self) -> int:
         """Packed size of the tracker state."""
 
-    @abstractmethod
-    def merge_from(self, other: "DegreeTracker") -> None:
-        """Fold another tracker's counts into this one, in place.
-
-        The shard-reduce step of parallel ingestion: when an edge
-        stream is partitioned across workers, each endpoint's arrivals
-        split across shards and degree counts simply add.  Trackers
-        whose representation is not additive (conservative Count-Min)
-        raise :class:`~repro.errors.ConfigurationError` instead of
-        silently corrupting their one-sided error guarantee.
-        """
-
 
 class ExactDegrees(DegreeTracker):
     """Exact per-vertex degree counters (the paper's setting)."""
@@ -99,15 +86,6 @@ class ExactDegrees(DegreeTracker):
     def nominal_bytes(self) -> int:
         return 8 * len(self._counts)
 
-    def merge_from(self, other: "DegreeTracker") -> None:
-        if not isinstance(other, ExactDegrees):
-            raise ConfigurationError(
-                f"cannot merge {type(other).__name__} into ExactDegrees"
-            )
-        counts = self._counts
-        for vertex, degree in other._counts.items():
-            counts[vertex] = counts.get(vertex, 0) + degree
-
     def __len__(self) -> int:
         return len(self._counts)
 
@@ -136,15 +114,6 @@ class CountMinDegrees(DegreeTracker):
 
     def nominal_bytes(self) -> int:
         return self._sketch.nominal_bytes()
-
-    def merge_from(self, other: "DegreeTracker") -> None:
-        # Conservative Count-Min is deliberately non-mergeable: the
-        # underlying CountMin.merge refuses for conservative tables, and
-        # degree tracking always uses the conservative variant.
-        raise ConfigurationError(
-            "conservative Count-Min degree tables are not mergeable; "
-            "sharded ingestion requires degree_mode='exact'"
-        )
 
     def __repr__(self) -> str:
         return (

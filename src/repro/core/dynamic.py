@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.core.block import apply_dynamic_block
 from repro.core.config import SketchConfig
-from repro.core.degrees import DegreeTracker
 from repro.core.predictor import MinHashLinkPredictor, PairEstimate, SketchArrays
 from repro.errors import ConfigurationError, SketchStateError
 from repro.exact.measures import measure_by_name
@@ -72,35 +71,6 @@ class DynamicArrays(NamedTuple):
     op_counts: np.ndarray
     #: Stream high-water timestamp (``-inf`` if none consumed).
     high_water: float
-
-
-class _LiveDegrees(DegreeTracker):
-    """Read-only degree view answering *live* degrees at query time.
-
-    Handed to the throwaway scoring view so witness-sum estimators see
-    dynamic degrees for every vertex (witnesses included), never the
-    inflated arrival counts an append-only tracker would report.
-    """
-
-    __slots__ = ("_owner",)
-
-    def __init__(self, owner: "DynamicMinHashPredictor") -> None:
-        self._owner = owner
-
-    def increment(self, vertex: int) -> None:  # pragma: no cover - guard
-        raise ConfigurationError("dynamic degree views are read-only")
-
-    def increment_block(self, us, vs) -> None:  # pragma: no cover - guard
-        raise ConfigurationError("dynamic degree views are read-only")
-
-    def merge_from(self, other: DegreeTracker) -> None:  # pragma: no cover - guard
-        raise ConfigurationError("dynamic degree views are read-only")
-
-    def get(self, vertex: int) -> int:
-        return self._owner.degree(vertex)
-
-    def nominal_bytes(self) -> int:
-        return 0
 
 
 class DynamicMinHashPredictor(LinkPredictor):
@@ -235,18 +205,12 @@ class DynamicMinHashPredictor(LinkPredictor):
             return None
         now = self.now
         ttl = self.config.ttl
-        view = MinHashLinkPredictor.__new__(MinHashLinkPredictor)
-        view.config = self.config
-        view.bank = self.bank
-        if u == v:
-            view._sketches = {u: su.materialize(now, ttl)}
-        else:
-            view._sketches = {
-                u: su.materialize(now, ttl),
-                v: sv.materialize(now, ttl),
-            }
-        view._degrees = _LiveDegrees(self)
-        return view
+        return MinHashLinkPredictor._view(
+            self.config,
+            self.bank,
+            {u: su.materialize(now, ttl), v: sv.materialize(now, ttl)},
+            self.degree,
+        )
 
     def jaccard(self, u: int, v: int) -> float:
         """MinHash estimate of ``J`` over the *live* neighbor sets."""

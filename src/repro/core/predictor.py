@@ -3,10 +3,15 @@
 :class:`MinHashLinkPredictor` maintains, for every vertex seen in the
 stream:
 
-* one :class:`~repro.sketches.minhash.KMinHash` of its neighbor set
-  (``k`` slot minima + witnesses; all vertices share a single
-  :class:`~repro.hashing.HashBank` so sketches are comparable), and
+* one k-mins MinHash row of its neighbor set (``k`` slot minima +
+  witnesses; all vertices share a single :class:`~repro.hashing.HashBank`
+  so sketches are comparable), and
 * one degree counter (exact by default).
+
+The rows live in a columnar store — one growable matrix per sketch
+component plus a vertex→row dict, capacity doubling when it fills — so
+there are no per-vertex objects; :meth:`MinHashLinkPredictor.sketch`
+hands out a :class:`~repro.sketches.minhash.KMinHash` copy of a row.
 
 Per stream edge ``(u, v)``: two sketch updates and two counter
 increments — ``O(k)`` vectorized work, *constant time per edge*.  Space
@@ -34,11 +39,13 @@ Example
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional
+from itertools import repeat
+from types import SimpleNamespace
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from repro.core.block import apply_edge_block
+from repro.core.block import _VALUE_CAP, apply_edge_block
 from repro.core.config import SketchConfig
 from repro.core.degrees import CountMinDegrees, DegreeTracker, ExactDegrees
 from repro.core.estimators import (
@@ -52,9 +59,10 @@ from repro.errors import ConfigurationError, SketchStateError
 from repro.exact.measures import Measure, measure_by_name
 from repro.hashing import HashBank
 from repro.interface import LinkPredictor
-from repro.sketches.minhash import KMinHash
+from repro.sketches.minhash import EMPTY_SLOT, NO_WITNESS, KMinHash
 
-__all__ = ["MinHashLinkPredictor", "PairEstimate", "SketchArrays", "merge_shards"]
+__all__ = ["MinHashLinkPredictor", "PairEstimate", "SketchArrays", "fold_sketch_arrays",
+           "mergeable_config", "merge_shards"]
 
 
 class SketchArrays(NamedTuple):
@@ -111,12 +119,13 @@ class MinHashLinkPredictor(LinkPredictor):
 
     method_name = "minhash"
 
-    __slots__ = ("config", "bank", "_sketches", "_degrees")
+    # Row r belongs to vertex _ids[r]; rows are in arrival order, the
+    # first len(_rows) are live and the rest is capacity.
+    __slots__ = ("config", "bank", "_degrees", "_rows", "_ids", "_values", "_witnesses", "_counts")
 
     def __init__(self, config: Optional[SketchConfig] = None) -> None:
         self.config = config or SketchConfig()
         self.bank = HashBank(self.config.seed, self.config.k)
-        self._sketches: Dict[int, KMinHash] = {}
         self._degrees: DegreeTracker
         if self.config.degree_mode == "exact":
             self._degrees = ExactDegrees()
@@ -126,17 +135,84 @@ class MinHashLinkPredictor(LinkPredictor):
                 depth=self.config.countmin_depth,
                 seed=self.config.seed ^ 0xDE6EE5,
             )
+        self._adopt(*_columns(0, self.config))
+
+    # ------------------------------------------------------------------
+    # The columnar store
+    # ------------------------------------------------------------------
+
+    def _adopt(self, ids, values, witnesses, counts) -> None:
+        """Make these arrays the whole store, all rows live (no copy)."""
+        self._ids, self._values, self._witnesses, self._counts = ids, values, witnesses, counts
+        self._rows: Dict[int, int] = dict(zip(ids.tolist(), range(len(ids))))
+
+    def _append(self, vertices: List[int]) -> range:
+        """Give each new vertex the next free row, holding an empty
+        sketch; the capacity doubles when it fills."""
+        start = len(self._rows)
+        stop = start + len(vertices)
+        if stop > len(self._ids):
+            columns = _columns(max(stop, 2 * len(self._ids)), self.config)
+            for new, old in zip(columns, (self._ids, self._values, self._witnesses, self._counts)):
+                if old is not None:
+                    new[:start] = old[:start]
+            self._ids, self._values, self._witnesses, self._counts = columns
+        self._ids[start:stop] = vertices
+        self._values[start:stop] = EMPTY_SLOT
+        if self._witnesses is not None:
+            self._witnesses[start:stop] = NO_WITNESS
+        self._counts[start:stop] = 0
+        self._rows.update(zip(vertices, range(start, stop)))
+        return range(start, stop)
+
+    def _row_of(self, vertex: int) -> int:
+        row = self._rows.get(vertex)
+        return self._append([vertex]).start if row is None else row
+
+    def _merge_rows(self, vertices: np.ndarray, values, witnesses, counts) -> None:
+        """Fold sketch rows in (the block kernel's batch minima, or whole
+        shards), appending rows for new vertices: a row takes each
+        *strictly* smaller slot and its witness, so a tie keeps the
+        stored witness, and update counts add."""
+        rows = np.fromiter(
+            map(self._rows.get, vertices.tolist(), repeat(-1)), dtype=np.int64, count=len(vertices)
+        )
+        unseen = np.flatnonzero(rows < 0)
+        if unseen.size:
+            rows[unseen] = self._append(vertices[unseen].tolist())
+        old_values = self._values[rows]
+        improved = values < old_values
+        changed = np.flatnonzero(improved.any(axis=1))
+        if changed.size:
+            improved, target = improved[changed], rows[changed]
+            block = old_values[changed]
+            np.copyto(block, values[changed], where=improved)
+            self._values[target] = block
+            if witnesses is not None:
+                block = self._witnesses[target]
+                np.copyto(block, witnesses[changed], where=improved)
+                self._witnesses[target] = block
+        self._counts[rows] += counts
+
+    def _stored_arrays(self) -> SketchArrays:
+        """The live rows as views, in store (arrival) order."""
+        n = len(self._rows)
+        ids = self._ids[:n]
+        witnesses = None if self._witnesses is None else self._witnesses[:n]
+        degrees = np.fromiter(map(self._degrees.get, ids.tolist()), dtype=np.int64, count=n)
+        return SketchArrays(ids, self._values[:n], witnesses, self._counts[:n], degrees)
+
+    def __getstate__(self):
+        # Live rows only: no capacity slack, no per-vertex objects.
+        return (self.config, self.bank, self._degrees) + tuple(self._stored_arrays()[:4])
+
+    def __setstate__(self, state) -> None:
+        self.config, self.bank, self._degrees = state[:3]
+        self._adopt(*state[3:])
 
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
-
-    def _sketch_of(self, vertex: int) -> KMinHash:
-        sketch = self._sketches.get(vertex)
-        if sketch is None:
-            sketch = KMinHash(self.bank, track_witnesses=self.config.track_witnesses)
-            self._sketches[vertex] = sketch
-        return sketch
 
     def update(self, u: int, v: int) -> None:
         """Consume one stream edge: ``O(k)`` vectorized work.
@@ -159,10 +235,24 @@ class MinHashLinkPredictor(LinkPredictor):
             raise ConfigurationError(f"vertex ids must be non-negative, got ({u}, {v})")
         # One fused hash evaluation for both endpoints (hot path).
         hashes_v, hashes_u = self.bank.values_pair(v, u)
-        self._sketch_of(u).update_hashed(v, hashes_v)
-        self._sketch_of(v).update_hashed(u, hashes_u)
+        row_u = self._row_of(u)
+        row_v = self._row_of(v)  # may grow the store: take row views after
+        self._insert(row_u, v, hashes_v)
+        self._insert(row_v, u, hashes_u)
         self._degrees.increment(u)
         self._degrees.increment(v)
+
+    def _insert(self, row: int, key: int, hashes: np.ndarray) -> None:
+        """:meth:`KMinHash.update_hashed <repro.sketches.minhash.KMinHash.update_hashed>`
+        on one store row: only a strictly smaller hash takes a slot."""
+        hashes = np.minimum(hashes, _VALUE_CAP)
+        values = self._values[row]
+        improved = hashes < values
+        if improved.any():
+            values[improved] = hashes[improved]
+            if self._witnesses is not None:
+                self._witnesses[row][improved] = key
+        self._counts[row] += 1
 
     def update_block(self, us, vs) -> int:
         """Consume a whole edge batch through the vectorized kernel.
@@ -195,15 +285,36 @@ class MinHashLinkPredictor(LinkPredictor):
     @property
     def vertex_count(self) -> int:
         """Number of vertices currently sketched."""
-        return len(self._sketches)
+        return len(self._rows)
+
+    def sketch(self, vertex: int) -> Optional[KMinHash]:
+        """A copy of the vertex's sketch, or ``None`` for an unseen vertex."""
+        row = self._rows.get(vertex)
+        if row is None:
+            return None
+        return KMinHash.from_arrays(
+            self.bank,
+            self._values[row],
+            None if self._witnesses is None else self._witnesses[row],
+            update_count=int(self._counts[row]),
+        )
+
+    def _matches(self, row_u: int, row_v: int) -> np.ndarray:
+        """Slots where both rows hold the same non-empty minimum."""
+        a = self._values[row_u]
+        b = self._values[row_v]
+        return (a != EMPTY_SLOT) & (b != EMPTY_SLOT) & (a == b)
 
     def jaccard(self, u: int, v: int) -> float:
         """Unbiased MinHash estimate of ``J(N(u), N(v))``."""
-        su = self._sketches.get(u)
-        sv = self._sketches.get(v)
-        if su is None or sv is None:
+        row_u = self._rows.get(u)
+        row_v = self._rows.get(v)
+        if row_u is None or row_v is None:
             return 0.0
-        return su.jaccard(sv)
+        # An empty sketch summarises the empty set: Ĵ = 0 (KMinHash.jaccard).
+        if self._counts[row_u] == 0 or self._counts[row_v] == 0:
+            return 0.0
+        return float(np.count_nonzero(self._matches(row_u, row_v))) / self.config.k
 
     def score(self, u: int, v: int, measure_name: str) -> float:
         """Estimate any registered measure for the pair (see module
@@ -226,9 +337,7 @@ class MinHashLinkPredictor(LinkPredictor):
         # Policy: unseen vertex => 0.0 for every measure, checked before
         # any degree lookup so approximate degree tables cannot invent a
         # score for a vertex that was never sketched.
-        su = self._sketches.get(u)
-        sv = self._sketches.get(v)
-        if su is None or sv is None:
+        if u not in self._rows or v not in self._rows:
             return 0.0
         du = self.degree(u)
         dv = self.degree(v)
@@ -236,7 +345,7 @@ class MinHashLinkPredictor(LinkPredictor):
             return float(du * dv)
         if du == 0 or dv == 0:
             return 0.0
-        j = su.jaccard(sv)
+        j = self.jaccard(u, v)
         if measure.name == "jaccard":
             return j  # the direct, unbiased estimate — no degree plug-in
         if measure.kind == "overlap_ratio":
@@ -252,9 +361,9 @@ class MinHashLinkPredictor(LinkPredictor):
                 "construct with SketchConfig(track_witnesses=True)"
             )
         union = union_size_from_jaccard(j, du, dv)
-        witness_degrees = (
-            self._degrees.get(int(w)) for w in su.matching_witnesses(sv)
-        )
+        row_u = self._rows[u]
+        witnesses = self._witnesses[row_u][self._matches(row_u, self._rows[v])]
+        witness_degrees = map(self._degrees.get, witnesses.tolist())
         raw = witness_sum_from_matches(
             union, witness_degrees, measure.witness_weight, self.config.k
         )
@@ -296,47 +405,62 @@ class MinHashLinkPredictor(LinkPredictor):
         the same matrices, and building them in one place keeps the
         row-order convention (sorted ids) impossible to get wrong.
 
-        The arrays are fresh copies — mutating them never touches the
-        live predictor, and further stream updates never invalidate an
-        earlier export.
+        The arrays are fresh copies (one sorted gather of the store) —
+        mutating them never touches the live predictor, and further
+        stream updates never invalidate an earlier export.
         """
-        vertex_ids = np.array(sorted(self._sketches), dtype=np.int64)
-        n = len(vertex_ids)
-        k = self.config.k
-        track = self.config.track_witnesses
-        values = np.empty((n, k), dtype=np.uint64)
-        witnesses = np.empty((n, k), dtype=np.int64) if track else None
-        update_counts = np.empty(n, dtype=np.int64)
-        degrees = np.empty(n, dtype=np.int64)
-        for row, vertex in enumerate(vertex_ids.tolist()):
-            sketch = self._sketches[vertex]
-            values[row] = sketch.values
-            if witnesses is not None:
-                witnesses[row] = sketch.witnesses
-            update_counts[row] = sketch.update_count
-            degrees[row] = self.degree(vertex)
-        return SketchArrays(vertex_ids, values, witnesses, update_counts, degrees)
+        stored = self._stored_arrays()
+        order = np.argsort(stored.vertex_ids)
+        return SketchArrays(*(None if a is None else a[order] for a in stored))
 
     @classmethod
     def from_arrays(cls, config: SketchConfig, arrays: SketchArrays) -> "MinHashLinkPredictor":
         """The inverse of :meth:`export_arrays` (exact degrees only):
         answers every query and further update as the exported predictor
         would.  Checkpoint restore and ``PackedSketches.to_predictor``
-        both come back through here."""
-        predictor = cls(config)
-        degree_table = predictor._degrees
-        if not isinstance(degree_table, ExactDegrees):
+        both come back through here.  The predictor adopts the arrays
+        as its store (rows in any order) without copying them.
+        """
+        if config.degree_mode != "exact":
             raise SketchStateError("from_arrays requires exact degrees")
-        for row, vertex in enumerate(arrays.vertex_ids.tolist()):
-            predictor._sketches[vertex] = KMinHash.from_arrays(
-                predictor.bank,
-                arrays.values[row],
-                arrays.witnesses[row] if arrays.witnesses is not None else None,
-                update_count=int(arrays.update_counts[row]),
-            )
-            if arrays.degrees[row]:
-                degree_table._counts[vertex] = int(arrays.degrees[row])
+        degrees = _exact_degrees(arrays.vertex_ids, arrays.degrees)
+        return cls._over(config, HashBank(config.seed, config.k), arrays, degrees)
+
+    @classmethod
+    def _over(
+        cls, config: SketchConfig, bank: HashBank, arrays: SketchArrays, degrees: DegreeTracker
+    ) -> "MinHashLinkPredictor":
+        """A predictor adopting ``arrays``' rows (no copy), reading ``degrees``."""
+        n, k = len(arrays.vertex_ids), config.k
+        shapes = (arrays.values.shape, getattr(arrays.witnesses, "shape", None))
+        if shapes + (arrays.update_counts.shape,) != (
+            (n, k), (n, k) if config.track_witnesses else None, (n,)
+        ):
+            raise SketchStateError(f"sketch arrays do not fit {n} vertices of {config}")
+        predictor = cls.__new__(cls)
+        predictor.config, predictor.bank, predictor._degrees = config, bank, degrees
+        dtypes = (np.int64, np.uint64, np.int64, np.int64)
+        owned = [a if a is None else np.require(a, t, ["C", "W"]) for a, t in zip(arrays, dtypes)]
+        predictor._adopt(*owned)
+        if len(predictor._rows) != n:
+            raise SketchStateError("sketch arrays repeat a vertex id")
         return predictor
+
+    @classmethod
+    def _view(
+        cls, config: SketchConfig, bank: HashBank, sketches: Dict[int, KMinHash], degree_of
+    ) -> "MinHashLinkPredictor":
+        """A throwaway predictor over copies of a few sketches, every degree
+        read from ``degree_of``: how windowed and dynamic predictors score."""
+        rows = list(sketches.values())
+        arrays = SketchArrays(
+            np.array(list(sketches), dtype=np.int64),
+            np.stack([sketch.values for sketch in rows]),
+            np.stack([sketch.witnesses for sketch in rows]) if config.track_witnesses else None,
+            np.array([sketch.update_count for sketch in rows], dtype=np.int64),
+            None,
+        )
+        return cls._over(config, bank, arrays, SimpleNamespace(get=degree_of))
 
     # ------------------------------------------------------------------
     # Distribution
@@ -353,69 +477,102 @@ class MinHashLinkPredictor(LinkPredictor):
         partitioned (each undirected edge processed by exactly one
         worker) the merged predictor is **bit-identical** to a
         single-pass predictor over the concatenated stream — the
-        property the test-suite pins.
+        property the test-suite pins.  A slot tie keeps ``self``'s
+        witness (:func:`fold_sketch_arrays`).
 
         Raises :class:`SketchStateError` for mismatched configurations
         and :class:`ConfigurationError` for Count-Min degree mode
         (conservative Count-Min tables are not mergeable — see
         :meth:`repro.sketches.countmin.CountMin.merge`).
         """
-        if other.config != self.config:
-            raise SketchStateError(
-                "can only merge predictors with identical configurations "
-                f"(got {self.config} vs {other.config})"
-            )
-        self.config.require_mergeable()
-        merged = MinHashLinkPredictor(self.config)
-        for vertex, sketch in self._sketches.items():
-            other_sketch = other._sketches.get(vertex)
-            merged._sketches[vertex] = (
-                sketch.copy() if other_sketch is None else sketch.merge(other_sketch)
-            )
-        for vertex, sketch in other._sketches.items():
-            if vertex not in self._sketches:
-                merged._sketches[vertex] = sketch.copy()
-        merged._degrees.merge_from(self._degrees)
-        merged._degrees.merge_from(other._degrees)
-        return merged
+        return merge_shards([self, other])
 
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
 
     def nominal_bytes(self) -> int:
-        sketch_bytes = sum(s.nominal_bytes() for s in self._sketches.values())
-        return sketch_bytes + self._degrees.nominal_bytes()
+        per_slot = 16 if self.config.track_witnesses else 8
+        return len(self._rows) * self.config.k * per_slot + self._degrees.nominal_bytes()
 
     def bytes_per_vertex(self) -> float:
         """Average packed bytes per sketched vertex (0 if none yet)."""
-        if not self._sketches:
+        if not self._rows:
             return 0.0
-        return self.nominal_bytes() / len(self._sketches)
+        return self.nominal_bytes() / len(self._rows)
 
     def __repr__(self) -> str:
         return (
             f"MinHashLinkPredictor(k={self.config.k}, "
-            f"vertices={len(self._sketches)}, "
+            f"vertices={len(self._rows)}, "
             f"witnesses={self.config.track_witnesses})"
         )
+
+
+def _columns(capacity: int, config: SketchConfig) -> list:
+    """Uninitialised store columns: ids, values, witnesses (or None), counts."""
+    rows = (capacity, config.k)
+    witnesses = np.empty(rows, dtype=np.int64) if config.track_witnesses else None
+    ids, counts = np.empty(capacity, np.int64), np.empty(capacity, np.int64)
+    return [ids, np.empty(rows, np.uint64), witnesses, counts]
+
+
+def _exact_degrees(vertex_ids: np.ndarray, degrees: np.ndarray) -> ExactDegrees:
+    """An exact degree table holding the nonzero ``degrees``."""
+    table = ExactDegrees()
+    nonzero = degrees != 0
+    table._counts.update(zip(vertex_ids[nonzero].tolist(), degrees[nonzero].tolist()))
+    return table
+
+
+def fold_sketch_arrays(parts: Iterable[SketchArrays], config: SketchConfig) -> MinHashLinkPredictor:
+    """One predictor holding the union of per-shard sketch arrays: parts
+    fold in order, a slot tie keeps the earlier part's witness (any fold
+    order gives :meth:`MinHashLinkPredictor.merge`'s result), and update
+    counts and degrees add."""
+    parts = list(parts)
+    vertex_ids = np.unique(np.concatenate([part.vertex_ids for part in parts]))
+    degrees = np.zeros(len(vertex_ids), dtype=np.int64)
+    merged = MinHashLinkPredictor(config)
+    # One row per vertex of the union up front: the store never grows mid-fold.
+    merged._append(vertex_ids.tolist())
+    for part in parts:
+        merged._merge_rows(*part[:4])
+        degrees[np.searchsorted(vertex_ids, part.vertex_ids)] += part.degrees
+    merged._degrees = _exact_degrees(vertex_ids, degrees)
+    return merged
+
+
+def mergeable_config(shards: Sequence) -> SketchConfig:
+    """The configuration every shard shares: :class:`ConfigurationError`
+    for no shards or Count-Min degrees, :class:`SketchStateError` for
+    mismatched configs."""
+    if not shards:
+        raise ConfigurationError("merging needs at least one shard")
+    config = shards[0].config
+    for shard in shards[1:]:
+        if shard.config != config:
+            raise SketchStateError(
+                "can only merge shards with identical configurations "
+                f"(got {config} vs {shard.config})"
+            )
+    config.require_mergeable()
+    return config
 
 
 def merge_shards(shards: "list[MinHashLinkPredictor]") -> MinHashLinkPredictor:
     """Reduce shard predictors into one (the parallel-ingest join step).
 
-    Folds left-to-right through :meth:`MinHashLinkPredictor.merge`, so
-    slot ties (two shards holding the same minimum) resolve in shard
-    order — the same witness a serial pass would have kept, since a
-    serial stream presents the lower-offset arrival first only when
-    hash values genuinely tie, which `merge` breaks identically for any
-    association order.  Raises :class:`~repro.errors.ConfigurationError`
-    on an empty shard list or a non-mergeable configuration, and
-    :class:`~repro.errors.SketchStateError` on mismatched shard configs.
+    One :func:`fold_sketch_arrays` pass over the shards' stored rows, in
+    shard order, so slot ties (two shards holding the same minimum)
+    resolve in shard order — the result equals folding left-to-right
+    through :meth:`MinHashLinkPredictor.merge`, and a serial stream
+    presents the lower-offset arrival first only when hash values
+    genuinely tie, which the fold breaks identically for any
+    association order.  A single shard is returned as it is; more go
+    through :func:`mergeable_config`'s checks.
     """
-    if not shards:
-        raise ConfigurationError("merge_shards needs at least one shard predictor")
-    merged = shards[0]
-    for shard in shards[1:]:
-        merged = merged.merge(shard)
-    return merged
+    if len(shards) == 1:
+        return shards[0]
+    config = mergeable_config(shards)
+    return fold_sketch_arrays((shard._stored_arrays() for shard in shards), config)

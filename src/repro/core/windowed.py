@@ -37,7 +37,6 @@ from collections import deque
 from typing import Deque, Optional
 
 from repro.core.config import SketchConfig
-from repro.core.degrees import DegreeTracker
 from repro.core.predictor import MinHashLinkPredictor
 from repro.errors import ConfigurationError
 from repro.exact.measures import measure_by_name
@@ -45,33 +44,6 @@ from repro.interface import LinkPredictor
 from repro.sketches.minhash import KMinHash
 
 __all__ = ["WindowedMinHashPredictor"]
-
-
-class _WindowDegrees(DegreeTracker):
-    """Read-only degree view summing over a window's live panes.
-
-    Handed to the throwaway single-store view inside
-    :meth:`WindowedMinHashPredictor.score`, so witness-sum estimators
-    see *window* degrees for every vertex (including witnesses), not
-    just for the queried endpoints.
-    """
-
-    __slots__ = ("_window",)
-
-    def __init__(self, window: "WindowedMinHashPredictor") -> None:
-        self._window = window
-
-    def increment(self, vertex: int) -> None:  # pragma: no cover - guard
-        raise ConfigurationError("window degree views are read-only")
-
-    def merge_from(self, other: DegreeTracker) -> None:  # pragma: no cover - guard
-        raise ConfigurationError("window degree views are read-only")
-
-    def get(self, vertex: int) -> int:
-        return self._window.degree(vertex)
-
-    def nominal_bytes(self) -> int:
-        return 0  # accounted by the panes themselves
 
 
 class WindowedMinHashPredictor(LinkPredictor):
@@ -153,7 +125,7 @@ class WindowedMinHashPredictor(LinkPredictor):
         """Merged (union) sketch of the vertex over the live panes."""
         merged: Optional[KMinHash] = None
         for store in self._stores:
-            sketch = store._sketches.get(vertex)
+            sketch = store.sketch(vertex)
             if sketch is None:
                 continue
             merged = sketch if merged is None else merged.merge(sketch)
@@ -175,10 +147,9 @@ class WindowedMinHashPredictor(LinkPredictor):
         sv = self._window_sketch(v)
         if su is None or sv is None or du == 0 or dv == 0:
             return 0.0
-        view = MinHashLinkPredictor(self.config)
-        view._sketches[u] = su
-        view._sketches[v] = sv
-        view._degrees = _WindowDegrees(self)
+        view = MinHashLinkPredictor._view(
+            self.config, self._stores[-1].bank, {u: su, v: sv}, self.degree
+        )
         return view.score(u, v, measure_name)
 
     @property
@@ -186,7 +157,7 @@ class WindowedMinHashPredictor(LinkPredictor):
         """Vertices present in at least one live pane."""
         seen = set()
         for store in self._stores:
-            seen.update(store._sketches)
+            seen.update(store.export_arrays().vertex_ids.tolist())
         return len(seen)
 
     @property

@@ -1,10 +1,9 @@
 """Contiguous sketch matrices: the data layout of the batch kernel.
 
-A live :class:`~repro.core.predictor.MinHashLinkPredictor` keeps one
-small sketch object per vertex — ideal for constant-time stream
-updates, hostile to batch queries, which would touch thousands of
-scattered Python objects.  :class:`PackedSketches` snapshots that state
-into the layout the vectorized kernel wants:
+A live :class:`~repro.core.predictor.MinHashLinkPredictor` keeps its
+sketches in growable matrices, rows in arrival order, that the stream
+keeps writing.  :class:`PackedSketches` snapshots that state into the
+frozen, sorted layout the vectorized kernel wants:
 
 * ``values`` — ``uint64 (n, k)``: row ``i`` is vertex
   ``vertex_ids[i]``'s slot minima,
@@ -32,9 +31,13 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.core.config import SketchConfig
-from repro.core.predictor import MinHashLinkPredictor, SketchArrays
-from repro.errors import ConfigurationError, SketchStateError
-from repro.sketches.minhash import EMPTY_SLOT, NO_WITNESS
+from repro.core.predictor import (
+    MinHashLinkPredictor,
+    SketchArrays,
+    fold_sketch_arrays,
+    mergeable_config,
+)
+from repro.errors import SketchStateError
 
 __all__ = ["PackedSketches"]
 
@@ -124,70 +127,21 @@ class PackedSketches(object):
 
     @classmethod
     def from_shards(cls, shards: Sequence) -> "PackedSketches":
-        """Pack shards straight into merged matrices.
-
-        The serving-side join of parallel ingestion: rather than
-        reducing N shard predictors into one merged predictor object
-        (N·n sketch merges plus a full per-vertex dict copy) and packing
-        *that*, this packs each shard's exported arrays directly into
-        the union layout — per-slot minima, shard-order tie-breaks, and
-        summed counters are computed as array folds, so the result is
-        **bit-identical** to
-        ``from_predictor(merge_shards(shards))`` without the
-        intermediate predictor ever existing.  A shard is a predictor or
-        a :class:`~repro.core.persistence.VerifiedCheckpoint`.
-
-        All shards must share one configuration, and that configuration
-        must be mergeable (exact degrees — see
-        :meth:`repro.core.config.SketchConfig.require_mergeable`).
+        """Pack the union of shard states (the serving-side join of
+        parallel ingestion): **bit-identical** to
+        ``from_predictor(merge_shards(shards))``, through the same fold
+        (:func:`~repro.core.predictor.fold_sketch_arrays`).  A shard is a
+        predictor or a :class:`~repro.core.persistence.VerifiedCheckpoint`,
+        and all shards share one mergeable configuration (see
+        :func:`~repro.core.predictor.mergeable_config`).
         """
         # Telemetry only, as in from_predictor.
         started = time.perf_counter()  # repro-lint: disable=RL001
-        if not shards:
-            raise ConfigurationError("from_shards needs at least one shard predictor")
-        config = shards[0].config
-        for shard in shards[1:]:
-            if shard.config != config:
-                raise SketchStateError(
-                    "can only pack shards with identical configurations "
-                    f"(got {config} vs {shard.config})"
-                )
-        config.require_mergeable()
-        exports = [shard.export_arrays() for shard in shards]
-        vertex_ids = np.unique(
-            np.concatenate([export.vertex_ids for export in exports])
-        )
-        n, k = len(vertex_ids), config.k
-        values = np.full((n, k), EMPTY_SLOT, dtype=np.uint64)
-        witnesses = (
-            np.full((n, k), NO_WITNESS, dtype=np.int64)
-            if config.track_witnesses
-            else None
-        )
-        update_counts = np.zeros(n, dtype=np.int64)
-        degrees = np.zeros(n, dtype=np.int64)
-        for export in exports:
-            rows = np.searchsorted(vertex_ids, export.vertex_ids)
-            # Strict < keeps the earlier shard's witness on value ties —
-            # exactly merge()'s tie-break, preserving bit-identity.
-            block = values[rows]
-            take = export.values < block
-            block[take] = export.values[take]
-            values[rows] = block
-            if witnesses is not None:
-                witness_block = witnesses[rows]
-                witness_block[take] = export.witnesses[take]
-                witnesses[rows] = witness_block
-            update_counts[rows] += export.update_counts
-            degrees[rows] += export.degrees
-        return cls(
-            vertex_ids,
-            values,
-            witnesses,
-            degrees,
-            update_counts,
-            k=k,
-            seed=config.seed,
+        config = mergeable_config(shards)
+        merged = fold_sketch_arrays((shard.export_arrays() for shard in shards), config)
+        return cls.from_arrays(
+            merged.export_arrays(),
+            config,
             # Telemetry field only; see the note on `started` above.
             pack_seconds=time.perf_counter() - started,  # repro-lint: disable=RL001
         )
@@ -296,12 +250,8 @@ class PackedSketches(object):
         config = SketchConfig(
             k=self.k, seed=self.seed, track_witnesses=self.witnesses is not None
         )
-        return MinHashLinkPredictor.from_arrays(
-            config,
-            SketchArrays(
-                self.vertex_ids, self.values, self.witnesses, self.update_counts, self.degrees
-            ),
-        )
+        arrays = (self.vertex_ids, self.values, self.witnesses, self.update_counts, self.degrees)
+        return fold_sketch_arrays([SketchArrays(*arrays)], config)  # copies: the pack stays frozen
 
     def nominal_bytes(self) -> int:
         """Packed size of the matrices (the serving-tier memory cost)."""

@@ -131,30 +131,6 @@ class KMinHash(MergeableSummary):
             self.update(key)
 
     @classmethod
-    def _adopt_arrays(
-        cls,
-        bank: HashBank,
-        values: np.ndarray,
-        witnesses: Optional[np.ndarray],
-        update_count: int,
-    ) -> "KMinHash":
-        """Internal zero-copy constructor for the block-ingest kernel.
-
-        Adopts the given arrays *without* validation or copying — the
-        kernel (:mod:`repro.core.block`) materialises thousands of
-        fresh sketches per batch, and the public ``__init__`` +
-        ``from_arrays`` path costs two redundant allocations and a
-        shape check each.  Callers must hand over freshly-owned,
-        correctly-shaped ``uint64 (k,)`` / ``int64 (k,)`` arrays.
-        """
-        sketch = cls.__new__(cls)
-        sketch.bank = bank
-        sketch.values = values
-        sketch.witnesses = witnesses
-        sketch.update_count = update_count
-        return sketch
-
-    @classmethod
     def from_arrays(
         cls,
         bank: HashBank,

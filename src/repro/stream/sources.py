@@ -28,11 +28,13 @@ retry, which the fault-injection suite pins down.
 
 from __future__ import annotations
 
+import os
 import random
 import time
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError, RetryExhaustedError
 
@@ -81,25 +83,83 @@ class FileEdgeSource(EdgeSource):
     an offset.  Parsing is left to the consumer so malformed lines can
     be dead-lettered with their line number instead of aborting the
     file.
+
+    Reading in legs costs O(1) per leg: a stopped leg parks its open
+    handle, and a ``records()`` call starting at the next offset, or at
+    the last record yielded (delivered again), reads on from it — also
+    past lines appended since, like ``tail -f``.  Any other offset, a
+    half-written last line, a replaced or truncated file and any
+    ``OSError`` read the file again from line 1.
     """
 
     def __init__(self, path: PathLike) -> None:
         self.path = Path(path)
         self.name = str(path)
+        # At most one (handle, next offset, line number, last record) of a
+        # stopped leg; the finalizer closes it even inside a reference cycle.
+        self._parked: List[tuple] = []
+        weakref.finalize(self, _close_parked, self._parked)
 
     def records(self, start_offset: int = 0) -> Iterator[SourceRecord]:
-        offset = 0
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
+        cursor = self._parked.pop() if self._parked else None
+        if cursor is not None and not self._resumable(cursor, start_offset):
+            cursor[0].close()
+            cursor = None
+        if cursor is None:
+            # Universal newlines, but a bare "\r" stays visible (see below).
+            cursor = (open(self.path, "r", encoding="utf-8", newline=""), 0, 0, None)
+        handle, offset, line_number, last = cursor
+        complete = True  # a line without "\n" may still grow: never park on one
+        try:
+            if last is not None and last.offset == start_offset:
+                yield last
+            for line in handle:
+                line_number += 1
+                complete = line.endswith("\n")
                 text = line.strip()
                 if not text or text.startswith(("#", "%")):
                     continue
-                if offset >= start_offset:
-                    yield SourceRecord(offset, text, line_number)
                 offset += 1
+                if offset > start_offset:
+                    last = SourceRecord(offset - 1, text, line_number)
+                    yield last
+        except GeneratorExit:
+            self._park((handle, offset, line_number, last), complete)
+            raise
+        except BaseException:
+            handle.close()
+            raise
+        self._park((handle, offset, line_number, last), complete)
+
+    def _resumable(self, cursor: tuple, start_offset: int) -> bool:
+        handle, offset, _, last = cursor
+        if start_offset != offset and (last is None or start_offset != last.offset):
+            return False
+        try:
+            on_disk, held = os.stat(self.path), os.fstat(handle.fileno())
+        except OSError:
+            return False
+        same_file = (on_disk.st_dev, on_disk.st_ino) == (held.st_dev, held.st_ino)
+        return same_file and on_disk.st_size >= handle.buffer.raw.tell()
+
+    def _park(self, cursor: tuple, complete: bool) -> None:
+        self.close()
+        if complete:
+            self._parked.append(cursor)
+        else:
+            cursor[0].close()
+
+    def close(self) -> None:
+        """Close a parked handle; the next ``records()`` reads from line 1."""
+        _close_parked(self._parked)
 
     def __repr__(self) -> str:
         return f"FileEdgeSource({str(self.path)!r})"
+
+
+def _close_parked(parked: List[tuple]) -> None:
+    while parked:
+        parked.pop()[0].close()
 
 
 class IteratorEdgeSource(EdgeSource):

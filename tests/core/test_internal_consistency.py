@@ -32,8 +32,8 @@ class TestClosedFormVsGenericPath:
             for v in range(1, 30, 3):
                 if u == v:
                     continue
-                su = predictor._sketches.get(u)
-                sv = predictor._sketches.get(v)
+                su = predictor.sketch(u)
+                sv = predictor.sketch(v)
                 if su is None or sv is None:
                     continue
                 j = su.jaccard(sv)

@@ -29,9 +29,9 @@ class TestMergeEquivalence:
         worker_b.process(part_b)
         merged = worker_a.merge(worker_b)
         assert merged.vertex_count == single.vertex_count
-        for vertex in single._sketches:
+        for vertex in single.export_arrays().vertex_ids.tolist():
             assert np.array_equal(
-                merged._sketches[vertex].values, single._sketches[vertex].values
+                merged.sketch(vertex).values, single.sketch(vertex).values
             )
             assert merged.degree(vertex) == single.degree(vertex)
 
@@ -76,7 +76,7 @@ class TestMergeEquivalence:
         degree_before = a.degree(0)
         a.merge(b)
         assert a.degree(0) == degree_before
-        assert 3 not in a._sketches
+        assert a.sketch(3) is None
 
 
 class TestMergeValidation:

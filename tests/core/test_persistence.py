@@ -71,12 +71,12 @@ class TestRoundTrip:
         restored = load_predictor(path)
         for vertex in range(5):
             assert np.array_equal(
-                restored._sketches[vertex].values,
-                original._sketches[vertex].values,
+                restored.sketch(vertex).values,
+                original.sketch(vertex).values,
             )
             assert np.array_equal(
-                restored._sketches[vertex].witnesses,
-                original._sketches[vertex].witnesses,
+                restored.sketch(vertex).witnesses,
+                original.sketch(vertex).witnesses,
             )
 
     def test_witnessless_config_round_trips(self, tmp_path):

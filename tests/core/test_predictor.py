@@ -88,7 +88,7 @@ class TestProtocolConventions:
         twice = predictor_for(TOY_EDGES + TOY_EDGES)
         # Sketch state identical; only the degree counters differ
         # (documented: use stream dedup for multi-edge streams).
-        assert once._sketches[0] == twice._sketches[0]
+        assert once.sketch(0) == twice.sketch(0)
         assert twice.degree(0) == 2 * once.degree(0)
 
     def test_witnessless_config_supports_cn_but_not_aa(self):

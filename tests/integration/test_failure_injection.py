@@ -163,8 +163,10 @@ class TestKillAndResume:
         resumed.run()
 
         reference = self._reference_scores(stream)
-        for vertex, sketch in reference._sketches.items():
-            assert np.array_equal(sketch.values, resumed.predictor._sketches[vertex].values)
+        for vertex in reference.export_arrays().vertex_ids.tolist():
+            assert np.array_equal(
+                reference.sketch(vertex).values, resumed.predictor.sketch(vertex).values
+            )
         assert not torn.exists()  # swept by the post-resume checkpoints
 
     def test_resume_falls_back_to_generation_n_minus_1(self, tmp_path):
@@ -198,8 +200,9 @@ class TestKillAndResume:
 
         reference = self._reference_scores(stream)
         assert resumed.predictor.vertex_count == reference.vertex_count
-        for vertex, sketch in reference._sketches.items():
-            restored = resumed.predictor._sketches[vertex]
+        for vertex in reference.export_arrays().vertex_ids.tolist():
+            sketch = reference.sketch(vertex)
+            restored = resumed.predictor.sketch(vertex)
             assert np.array_equal(sketch.values, restored.values)
             assert np.array_equal(sketch.witnesses, restored.witnesses)
             assert resumed.predictor.degree(vertex) == reference.degree(vertex)

@@ -35,13 +35,10 @@ edge_batches = st.lists(
 
 def _state(predictor):
     """Every bit of predictor state the scalar law quantifies over."""
-    sketches = {}
-    for vertex, sketch in predictor._sketches.items():
-        sketches[vertex] = (
-            sketch.values.tobytes(),
-            None if sketch.witnesses is None else sketch.witnesses.tobytes(),
-            sketch.update_count,
-        )
+    sketches = {
+        field: None if array is None else (array.shape, array.tobytes())
+        for field, array in predictor.export_arrays()._asdict().items()
+    }
     degrees = {v: predictor.degree(v) for v in range(12)}
     return sketches, degrees
 

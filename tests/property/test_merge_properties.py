@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import MinHashLinkPredictor, SketchConfig
-from repro.core.degrees import CountMinDegrees, ExactDegrees
 from repro.core.predictor import merge_shards
 from repro.errors import ConfigurationError
 from repro.hashing import HashBank
@@ -139,16 +138,6 @@ class TestConservativeCountMinRefusesToMerge:
         b.update(4)
         with pytest.raises(ConfigurationError):
             a.merge(b)
-
-    def test_degree_tracker_merge_from_raises(self):
-        a = CountMinDegrees(width=32, depth=2, seed=1)
-        b = CountMinDegrees(width=32, depth=2, seed=1)
-        with pytest.raises(ConfigurationError, match="not mergeable"):
-            a.merge_from(b)
-
-    def test_exact_degrees_refuse_a_countmin_donor(self):
-        with pytest.raises(ConfigurationError):
-            ExactDegrees().merge_from(CountMinDegrees(width=32, depth=2, seed=1))
 
     def test_config_require_mergeable_raises(self):
         with pytest.raises(ConfigurationError, match="exact"):

@@ -24,7 +24,8 @@ class TestPacking:
         predictor = warm_predictor()
         store = PackedSketches.from_predictor(predictor)
         assert store.n_vertices == predictor.vertex_count
-        for vertex, sketch in predictor._sketches.items():
+        for vertex in predictor.export_arrays().vertex_ids.tolist():
+            sketch = predictor.sketch(vertex)
             row = store.row_of(vertex)
             assert row >= 0
             assert np.array_equal(store.values[row], sketch.values)
@@ -106,7 +107,7 @@ class TestExportApi:
                 exported.witnesses[row],
                 update_count=int(exported.update_counts[row]),
             )
-            assert rebuilt == predictor._sketches[vertex]
+            assert rebuilt == predictor.sketch(vertex)
 
     def test_export_copies_do_not_alias_live_state(self):
         predictor = warm_predictor(k=16)

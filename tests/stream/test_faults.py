@@ -130,8 +130,9 @@ class TestComposedCrashRecovery:
         survivor.run()
 
         assert survivor.predictor.vertex_count == reference.predictor.vertex_count
-        for vertex, sketch in reference.predictor._sketches.items():
-            survivor_sketch = survivor.predictor._sketches[vertex]
+        for vertex in reference.predictor.export_arrays().vertex_ids.tolist():
+            sketch = reference.predictor.sketch(vertex)
+            survivor_sketch = survivor.predictor.sketch(vertex)
             assert np.array_equal(sketch.values, survivor_sketch.values)
             assert np.array_equal(sketch.witnesses, survivor_sketch.witnesses)
             assert survivor.predictor.degree(vertex) == reference.predictor.degree(vertex)

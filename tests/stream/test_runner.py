@@ -35,8 +35,10 @@ class TestHappyPath:
         assert stats["dead_lettered"] == 0
         assert stats["offset"] == len(CLEAN)
         assert stats["source_exhausted"] is True
-        for vertex, sketch in reference._sketches.items():
-            assert np.array_equal(sketch.values, runner.predictor._sketches[vertex].values)
+        for vertex in reference.export_arrays().vertex_ids.tolist():
+            assert np.array_equal(
+                reference.sketch(vertex).values, runner.predictor.sketch(vertex).values
+            )
 
     def test_file_source_end_to_end(self, tmp_path):
         path = tmp_path / "edges.txt"
