@@ -14,7 +14,12 @@ uniform-hash values only ~10%):
 * a ``sha256`` content checksum over every payload array, verified on
   load, so a torn or bit-rotted file is rejected with
   :class:`~repro.errors.CheckpointCorruptError` instead of resuming
-  from garbage.
+  from garbage,
+* optionally, the ingest guard's state (``guard_*`` fields: seen edges,
+  degrees, high-water mark) under a checksum of its own,
+  ``guard_sha256``.  Only a resume reads them (``read_checkpoint(...,
+  guard=True)``); serving reads skip those members altogether, and a
+  checkpoint without them loads as before.
 
 Loading is one verification step, :func:`read_checkpoint`, feeding two
 builders: :meth:`VerifiedCheckpoint.to_predictor` restores a predictor
@@ -74,6 +79,11 @@ PathLike = Union[str, Path]
 #: checkpoint generation, ...) from predictor payload fields.
 _META_PREFIX = "meta_"
 
+#: Prefix of the ingest guard's fields, checksummed apart (in
+#: ``guard_sha256``) so that reads which skip them still verify.
+_GUARD_PREFIX = "guard_"
+_GUARD_CHECKSUM = _GUARD_PREFIX + "sha256"
+
 #: Exceptions numpy/zipfile raise on truncated or garbled archives.  A
 #: half-written ``.npz`` can die in the zip directory (``BadZipFile``,
 #: also a stored member's CRC), in a deflated member's stream
@@ -89,15 +99,16 @@ _CORRUPTION_ERRORS = (
 )
 
 
-def _payload_checksum(fields: Mapping[str, np.ndarray]) -> str:
-    """Deterministic sha256 over every non-checksum field.
+def _payload_checksum(fields: Mapping[str, np.ndarray], guard: bool = False) -> str:
+    """Deterministic sha256 over the predictor fields, or with
+    ``guard`` over the guard fields (checksums excluded either way).
 
     Field name, dtype, shape and raw bytes all feed the digest, so a
     renamed, retyped, reshaped or bit-flipped array is all caught.
     """
     digest = hashlib.sha256()
     for name in sorted(fields):
-        if name == "sha256":
+        if name in ("sha256", _GUARD_CHECKSUM) or name.startswith(_GUARD_PREFIX) != guard:
             continue
         array = np.asarray(fields[name])
         digest.update(name.encode("utf-8"))
@@ -138,6 +149,7 @@ def save_predictor(
     *,
     metadata: Optional[Mapping[str, int]] = None,
     metrics: Optional[MetricsRegistry] = None,
+    guard: Optional[Mapping[str, np.ndarray]] = None,
 ) -> int:
     """Write a checkpoint; returns the number of vertices saved.
 
@@ -145,6 +157,12 @@ def save_predictor(
     ``{"stream_offset": 1024}``) stored alongside the predictor state,
     checksummed with it, and returned verbatim as
     :attr:`VerifiedCheckpoint.metadata` by :func:`read_checkpoint`.
+
+    ``guard`` is an optional mapping of arrays (the
+    :meth:`~repro.stream.policies.StreamGuard.state_arrays` of the
+    ingest guard) stored in the same archive under their own checksum,
+    and returned as :attr:`VerifiedCheckpoint.guard` by
+    ``read_checkpoint(..., guard=True)``.
 
     ``metrics`` (optional) records the save into the ``persist_*``
     instruments: ``persist_save_seconds`` (latency histogram) and
@@ -202,6 +220,12 @@ def save_predictor(
     for key, value in (metadata or {}).items():
         fields[_META_PREFIX + key] = np.int64(value)
     fields["sha256"] = np.frombuffer(bytes.fromhex(_payload_checksum(fields)), dtype=np.uint8)
+    if guard is not None:
+        for key, value in guard.items():
+            fields[_GUARD_PREFIX + key] = np.asarray(value)
+        fields[_GUARD_CHECKSUM] = np.frombuffer(
+            bytes.fromhex(_payload_checksum(fields, guard=True)), dtype=np.uint8
+        )
     before = _position_of(path)
     _savez_atomic(path, fields)
     if metrics is not None and metrics.enabled:
@@ -261,9 +285,14 @@ def read_checkpoint(
     path: Union[PathLike, IO[bytes]],
     *,
     metrics: Optional[MetricsRegistry] = None,
+    guard: bool = False,
 ) -> "VerifiedCheckpoint":
     """Read and verify a checkpoint (field inventory, version,
     checksum, configuration, metadata), building nothing from it yet.
+
+    The guard fields are read and verified only with ``guard=True`` (a
+    resume); otherwise :attr:`VerifiedCheckpoint.guard` is ``None``
+    and those archive members are never read.
 
     ``metrics`` (optional) records successful reads into
     ``persist_load_seconds``.
@@ -272,7 +301,12 @@ def read_checkpoint(
     try:
         with np.load(path) as archive:
             checkpoint = _verify(
-                {field: archive[field] for field in archive.files}, describe(path)
+                {
+                    field: archive[field]
+                    for field in archive.files
+                    if guard or not field.startswith(_GUARD_PREFIX)
+                },
+                describe(path),
             )
     except ReproError:
         raise
@@ -329,11 +363,15 @@ _DYNAMIC_REQUIRED_FIELDS = (
 
 
 class VerifiedCheckpoint(NamedTuple):
-    """A checkpoint's fields after every load-time check passed."""
+    """A checkpoint's fields after every load-time check passed.
+
+    ``guard`` holds the ingest guard's arrays (prefix stripped) when
+    they were asked for and the checkpoint has them, else ``None``."""
 
     config: SketchConfig
     fields: Dict[str, np.ndarray]
     metadata: Dict[str, int]
+    guard: Optional[Dict[str, np.ndarray]] = None
 
     def export_arrays(self) -> SketchArrays:
         """The verified slot matrices, as
@@ -422,4 +460,25 @@ def _verify(fields: Dict[str, np.ndarray], name: str) -> VerifiedCheckpoint:
         for field, value in fields.items()
         if field.startswith(_META_PREFIX)
     }
-    return VerifiedCheckpoint(config, fields, metadata)
+    return VerifiedCheckpoint(config, fields, metadata, _verify_guard(fields, name))
+
+
+def _verify_guard(fields: Dict[str, np.ndarray], name: str) -> Optional[Dict[str, np.ndarray]]:
+    """Pop and verify the guard fields, if the read loaded any."""
+    stored = fields.pop(_GUARD_CHECKSUM, None)
+    guard = {
+        field[len(_GUARD_PREFIX):]: fields.pop(field)
+        for field in [field for field in fields if field.startswith(_GUARD_PREFIX)]
+    }
+    if stored is None:
+        if guard:
+            raise CheckpointCorruptError(f"checkpoint {name} has guard fields but no guard checksum")
+        return None
+    expected = bytes(np.asarray(stored, dtype=np.uint8)).hex()
+    actual = _payload_checksum({_GUARD_PREFIX + key: value for key, value in guard.items()}, guard=True)
+    if actual != expected:
+        raise CheckpointCorruptError(
+            f"checkpoint {name} failed guard checksum verification "
+            f"(stored {expected[:12]}..., recomputed {actual[:12]}...)"
+        )
+    return guard

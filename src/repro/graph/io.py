@@ -25,7 +25,9 @@ import math
 import re
 import unicodedata
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.errors import ConfigurationError, StreamFormatError
 from repro.graph.stream import Edge, StreamRecord
@@ -36,6 +38,9 @@ __all__ = [
     "scan_edge_list",
     "parse_edge_line",
     "parse_stream_record",
+    "parse_edge_block",
+    "EdgeBlock",
+    "MAX_VERTEX_ID",
     "LineDiagnostic",
     "write_edge_list",
     "VertexRelabeler",
@@ -62,6 +67,20 @@ OP_TOKENS = {
 }
 
 
+#: The largest vertex id a record may carry: ids are ``int64`` end to
+#: end (sketch rows, the guard's seen-edge store, block batches), so a
+#: larger one is rejected at parse time, before it reaches any state.
+MAX_VERTEX_ID = 2**63 - 1
+
+
+def out_of_range_detail(field: str, value: int) -> str:
+    """The ``non_integer_vertex`` detail for an id past :data:`MAX_VERTEX_ID`."""
+    return (
+        f"vertex {field}: id {value} is outside the int64 vertex-id range "
+        f"[0, {MAX_VERTEX_ID}]"
+    )
+
+
 def _carries_hostile_chars(token: str) -> bool:
     """True when the token holds control (Cc) or format (Cf) characters
     — NUL bytes, ANSI escapes, BOMs, zero-width joiners."""
@@ -75,12 +94,19 @@ def _parse_vertex_token(token: str, field: str, line_number: Optional[int]) -> i
     underscores (``1_0``), an explicit sign (``+5``), surrounding
     whitespace, and non-ASCII decimal digits (``"١٢"``), all of which
     indicate a mangled upstream rather than a well-formed id.  Only
-    canonical ASCII digit runs pass.  ``field`` names the record field
-    (``"u"``/``"v"``) so error messages speak the schema, not a column
-    index.
+    canonical ASCII digit runs up to :data:`MAX_VERTEX_ID` pass.
+    ``field`` names the record field (``"u"``/``"v"``) so error messages
+    speak the schema, not a column index.
     """
     if token.isascii() and token.isdigit():
-        return int(token)
+        value = int(token)
+        if value > MAX_VERTEX_ID:
+            raise StreamFormatError(
+                out_of_range_detail(field, value),
+                line_number=line_number,
+                reason="non_integer_vertex",
+            )
+        return value
     if not token.isascii() or _carries_hostile_chars(token):
         raise StreamFormatError(
             f"vertex {field}: token {token!r} carries non-ASCII or control "
@@ -217,6 +243,109 @@ def parse_stream_record(
     else:
         timestamp = default_timestamp
     return StreamRecord(op, u, v, timestamp)
+
+
+class EdgeBlock(NamedTuple):
+    """Bulk parse of a run of text lines (see :func:`parse_edge_block`).
+
+    ``clean`` marks the lines in the strict grammar; ``us``/``vs`` hold
+    their vertex ids and ``timestamps`` their timestamp field (NaN for a
+    two-field line).  Entries of other lines are meaningless.
+    """
+
+    clean: np.ndarray
+    us: np.ndarray
+    vs: np.ndarray
+    timestamps: np.ndarray
+
+
+_POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)
+#: Digits a bulk-parsed id may have: ``10**18 - 1 < MAX_VERTEX_ID``.
+_ID_DIGITS = 18
+#: Digits of an integer timestamp that converts to float exactly.
+_EXACT_TIME_DIGITS = 15
+
+
+def parse_edge_block(lines: Sequence[object]) -> EdgeBlock:
+    """Parse many data lines at once, for the lines in a strict grammar.
+
+    A line is *clean* when it is ``u v`` or ``u v t``: ASCII digit ids
+    of at most 18 digits, a timestamp of digits with at most one ``.``,
+    fields separated by spaces or tabs.  For a clean line the result
+    equals :func:`parse_stream_record`'s (an ``add``); any other value —
+    an op token, a comma, a sign, a control or non-ASCII character, a
+    long id, a non-string — is left unclean for that scalar parser to
+    judge, so the grammar needs no error paths of its own.
+    """
+    count = len(lines)
+    clean = np.zeros(count, dtype=bool)
+    us = np.zeros(count, dtype=np.int64)
+    vs = np.zeros(count, dtype=np.int64)
+    timestamps = np.full(count, np.nan)
+    try:
+        text = "\n".join(lines)  # type: ignore[arg-type]
+    except TypeError:
+        lines = [line if isinstance(line, str) else "" for line in lines]
+        text = "\n".join(lines)  # type: ignore[arg-type]
+    data = text.encode("utf-8", "surrogatepass")
+    if data.count(b"\n") != count - 1:  # a value that holds a newline
+        lines = ["" if "\n" in line else line for line in lines]  # type: ignore[operator]
+        data = "\n".join(lines).encode("utf-8", "surrogatepass")  # type: ignore[arg-type]
+    raw = np.frombuffer(data, dtype=np.uint8)
+    newline = raw == ord("\n")
+    separator = (raw == ord(" ")) | (raw == ord("\t")) | newline
+    dot = raw == ord(".")
+    digit = (raw - np.uint8(ord("0"))) < 10
+    inside = ~separator
+    opens = inside.copy()
+    opens[1:] &= separator[:-1]
+    starts = np.flatnonzero(opens)
+    if not len(starts):
+        return EdgeBlock(clean, us, vs, timestamps)
+    closes = inside.copy()
+    closes[:-1] &= separator[1:]
+    ends = np.flatnonzero(closes)
+    length = ends - starts + 1
+    breaks = np.flatnonzero(newline)
+    token_line = np.searchsorted(breaks, starts)
+    fields = np.bincount(token_line, minlength=count)
+    first = np.cumsum(fields) - fields
+    ordinal = np.arange(len(starts)) - first[token_line]
+
+    bad = (fields < 2) | (fields > 3)
+    bad[np.searchsorted(breaks, np.flatnonzero(inside & ~digit & ~dot))] = True
+    bad[token_line[(ordinal < 2) & (length > _ID_DIGITS)]] = True
+    dotted = np.zeros(len(starts), dtype=np.int64)
+    dots = np.flatnonzero(dot)
+    if len(dots):
+        token_of_dot = np.searchsorted(starts, dots, side="right") - 1
+        bad[token_line[token_of_dot[ordinal[token_of_dot] != 2]]] = True
+        dotted = np.bincount(token_of_dot, minlength=len(starts))
+        bad[token_line[(dotted > 1) | ((dotted == 1) & (length == 1))]] = True
+
+    # Every token's bytes as one integer, sum(digit * 10**places to its
+    # end); bytes of unclean lines give garbage nobody reads.
+    token_bytes = np.flatnonzero(inside)
+    places = np.clip(np.repeat(ends, length) - token_bytes, 0, _ID_DIGITS)
+    digits = raw[token_bytes].astype(np.int64) - ord("0")
+    values = np.add.reduceat(digits * _POWERS_OF_TEN[places], np.cumsum(length) - length)
+
+    good = np.flatnonzero(~bad)
+    us[good] = values[first[good]]
+    vs[good] = values[first[good] + 1]
+    timed = good[fields[good] == 3]
+    time_token = first[timed] + 2
+    timestamps[timed] = values[time_token]
+    # A dotted or long timestamp goes through float() itself: exact.
+    slow = (dotted[time_token] > 0) | (length[time_token] > _EXACT_TIME_DIGITS)
+    for line, token in zip(timed[slow].tolist(), time_token[slow].tolist()):
+        value = float(data[starts[token] : ends[token] + 1])
+        if math.isfinite(value):
+            timestamps[line] = value
+        else:
+            bad[line] = True
+    clean[~bad] = True
+    return EdgeBlock(clean, us, vs, timestamps)
 
 
 def parse_edge_line(

@@ -175,8 +175,9 @@ class PeriodicReporter:
     """Append registry snapshots to a JSON-lines file on a cadence.
 
     Drive it with :meth:`tick` from the consuming loop (the runner
-    calls it once per consumed record); a sample is written when
-    *either* cadence is due.  ``every_records=0`` / ``every_seconds=0``
+    calls it once per chunk of consumed records, a chunk never crossing
+    :meth:`records_until_due`); a sample is written when *either*
+    cadence is due.  ``every_records=0`` / ``every_seconds=0``
     disables that trigger; with both disabled only explicit
     :meth:`write` calls (and the final one from :meth:`close`) emit.
 
@@ -209,6 +210,12 @@ class PeriodicReporter:
         self._records_since = 0
         self._last_write = clock()
         self._handle: Optional[IO[str]] = open(self.path, "a", encoding="utf-8")
+
+    def records_until_due(self) -> Optional[int]:
+        """Records until the record cadence is due (``None`` without one)."""
+        if not self.every_records:
+            return None
+        return max(1, self.every_records - self._records_since)
 
     def tick(self, records: int = 1) -> bool:
         """Account ``records`` consumed; write a sample if due."""

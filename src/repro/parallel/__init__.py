@@ -10,7 +10,7 @@ public entry point; most callers reach it through
 ``repro.api.ingest(..., workers=N)`` or ``repro ingest --workers N``.
 """
 
-from repro.parallel.partition import shard_counts, shard_of
+from repro.parallel.partition import shard_counts, shard_of, shard_of_array
 from repro.parallel.runner import ShardedRunner
 from repro.parallel.worker import shard_directory, shard_worker_main
 
@@ -19,5 +19,6 @@ __all__ = [
     "shard_counts",
     "shard_directory",
     "shard_of",
+    "shard_of_array",
     "shard_worker_main",
 ]

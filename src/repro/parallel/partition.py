@@ -27,10 +27,13 @@ ingestion exactly.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import ConfigurationError
+from repro.hashing.families import _splitmix64_array
 from repro.hashing.mixers import MASK64, splitmix64
 
-__all__ = ["shard_of", "shard_counts"]
+__all__ = ["shard_of", "shard_of_array", "shard_counts"]
 
 #: Odd 64-bit constants decorrelating the two endpoints and the seed.
 _SEED_SALT = 0x9E3779B97F4A7C15
@@ -52,6 +55,22 @@ def shard_of(u: int, v: int, shards: int, seed: int = 0) -> int:
     mixed = splitmix64((seed * _SEED_SALT) & MASK64 ^ lo)
     mixed = splitmix64(mixed ^ ((hi * _ENDPOINT_SALT) & MASK64))
     return mixed % shards
+
+
+def shard_of_array(us, vs, shards: int, seed: int = 0) -> np.ndarray:
+    """:func:`shard_of` of every edge of two ``int64`` id arrays, bit
+    for bit (the same splitmix64 chain, in wrapping ``uint64``)."""
+    if shards < 1:
+        raise ConfigurationError(f"shards must be positive, got {shards}")
+    us = np.asarray(us, dtype=np.int64)
+    vs = np.asarray(vs, dtype=np.int64)
+    if shards == 1:
+        return np.zeros(len(us), dtype=np.int64)
+    lo = np.minimum(us, vs).astype(np.uint64)
+    hi = np.maximum(us, vs).astype(np.uint64)
+    mixed = _splitmix64_array(np.uint64((seed * _SEED_SALT) & MASK64) ^ lo)
+    mixed = _splitmix64_array(mixed ^ (hi * np.uint64(_ENDPOINT_SALT)))
+    return (mixed % np.uint64(shards)).astype(np.int64)
 
 
 def shard_counts(edges, shards: int, seed: int = 0) -> list:

@@ -12,11 +12,12 @@ stream.
 Division of labour:
 
 * the **coordinator** (this class, in the calling process) reads the
-  source, admits records through the *same*
+  source, admits records in chunks through the *same*
   :class:`~repro.stream.admission.Admission` stage as the serial runner
   (dead-lettering centrally, so quarantine counters live in one
-  registry), assigns each accepted record to its shard, and routes
-  chunks into per-shard bounded queues;
+  registry), assigns each accepted block's records to their shards
+  (:func:`~repro.parallel.partition.shard_of_array`), and routes
+  columnar chunks into per-shard bounded queues;
 * each **worker** (:func:`~repro.parallel.worker.shard_worker_main`)
   owns a full-config predictor shard plus its own
   :class:`~repro.stream.checkpoint.CheckpointManager` subdirectory, and
@@ -45,15 +46,16 @@ import queue as queue_module
 import time
 from typing import Callable, Dict, List, Optional, Union
 
+import numpy as np
+
 from repro.core.config import SketchConfig
 from repro.core.dynamic import merge_dynamic_shards
 from repro.core.predictor import MinHashLinkPredictor, merge_shards
 from repro.errors import ConfigurationError, WorkerCrashError
-from repro.graph.stream import StreamRecord
 from repro.obs.registry import MetricsRegistry
-from repro.parallel.partition import shard_of
+from repro.parallel.partition import shard_of_array
 from repro.parallel.worker import shard_directory, shard_worker_main
-from repro.stream.admission import Admission
+from repro.stream.admission import AcceptedBlock, Admission, close_records
 from repro.stream.deadletter import DeadLetterSink
 from repro.stream.policies import PolicySet, StreamGuard
 from repro.stream.sources import EdgeSource, SourceRecord
@@ -100,7 +102,9 @@ class ShardedRunner:
         ``chunk_records`` through queues bounded at ``queue_depth``
         chunks, which is the backpressure window — a stalled worker
         blocks the coordinator after ``queue_depth`` undelivered
-        chunks instead of buffering the stream unboundedly.
+        chunks instead of buffering the stream unboundedly.  The
+        coordinator admits ``chunk_records * workers`` source records
+        at a time.
     batch_size:
         Each worker's span size, as for the serial runner (see
         :class:`~repro.stream.admission.SpanFolder`); the merged result
@@ -181,7 +185,9 @@ class ShardedRunner:
         self._m_replayed = records.labels(outcome="replayed", shard="-")
         # Guard state lives coordinator-side: one process sees every
         # record in stream order, so stream-level detection is
-        # deterministic and identical to the serial runner's.
+        # deterministic and identical to the serial runner's.  It is
+        # not checkpointed: a resume starts it empty at the lowest
+        # shard offset (see docs/OPERATIONS.md).
         self.admission = Admission(
             source,
             self.metrics,
@@ -294,21 +300,22 @@ class ShardedRunner:
             self._collect(self._ready)
             start_offset = min(self.shard_offsets)
             self.offset = start_offset
-            buffers: List[list] = [[] for _ in range(self.workers)]
-            exhausted = True
-            admit = self.admission.admit
-            for record in self.source.records(start_offset):
-                if max_records is not None and consumed >= max_records:
-                    exhausted = False
-                    break
-                accepted = admit(record)
-                if accepted is not None:
-                    self._route(record, accepted, buffers)
-                self.offset = record.offset + 1
-                consumed += 1
-            for shard, buffer in enumerate(buffers):
-                if buffer:
-                    self._put(shard, ("edges", buffer))
+            self._buffers: List[List[AcceptedBlock]] = [[] for _ in range(self.workers)]
+            size = self.chunk_records * self.workers  # ~one message per shard
+            records = iter(self.source.records(start_offset))
+            try:
+                exhausted, consumed = self.admission.consume(
+                    records,
+                    lambda consumed: size if max_records is None else min(
+                        size, max_records - consumed
+                    ),
+                    self._route,
+                    self._settle,
+                )
+            finally:
+                close_records(records)
+            for shard in range(self.workers):
+                self._send(shard, 1)
             sentinel = ("finish",) if exhausted else ("halt",)
             for shard in range(self.workers):
                 self._put(shard, sentinel)
@@ -324,34 +331,41 @@ class ShardedRunner:
         self.admission.ran(consumed, self.clock() - started)
         return self.stats()
 
-    def _route(
-        self, record: SourceRecord, accepted: StreamRecord, buffers: List[list]
-    ) -> None:
+    def _settle(self, last: SourceRecord, count: int) -> None:
+        self.offset = last.offset + 1
+
+    def _route(self, block: AcceptedBlock) -> None:
         # shard_of is symmetric in (u, v), so an edge's delete always
         # lands on the shard that saw its add — the counter algebra
         # cancels locally whenever the ops meet in one shard, and still
         # merges exactly when they don't (resume can split them).
-        shard = shard_of(accepted.u, accepted.v, self.workers, self.config.seed)
-        if record.offset < self.shard_offsets[shard]:
-            # Already reflected in that shard's checkpoint: a
-            # resume replays from min(shard offsets) and skips
-            # per shard, never double-counting.
-            self._m_replayed.inc()
-        else:
-            buffer = buffers[shard]
-            buffer.append(
-                (
-                    record.offset,
-                    accepted.u,
-                    accepted.v,
-                    0 if accepted.op == "add" else 1,
-                    accepted.timestamp,
-                )
-            )
-            self._m_ok[shard].inc()
-            if len(buffer) >= self.chunk_records:
-                self._put(shard, ("edges", buffer))
-                buffers[shard] = []
+        shards = shard_of_array(block.us, block.vs, self.workers, self.config.seed)
+        # Records already reflected in their shard's checkpoint: a
+        # resume replays from min(shard offsets) and skips per shard,
+        # never double-counting.
+        fresh = block.offsets >= np.asarray(self.shard_offsets)[shards]
+        self._m_replayed.inc(int(len(fresh) - np.count_nonzero(fresh)))
+        for shard in range(self.workers):
+            mine = np.flatnonzero(fresh & (shards == shard))
+            if len(mine):
+                self._buffers[shard].append(AcceptedBlock(*(column[mine] for column in block)))
+                self._m_ok[shard].inc(len(mine))
+                self._send(shard, self.chunk_records)
+
+    def _send(self, shard: int, least: int) -> None:
+        """Send a shard's buffered records in chunks of ``chunk_records``
+        while at least ``least`` are buffered."""
+        buffered = self._buffers[shard]
+        pending = sum(len(part.offsets) for part in buffered)
+        if pending < least:
+            return
+        block = AcceptedBlock.concatenate(buffered)
+        start = 0
+        while pending - start >= max(least, 1):
+            stop = min(pending, start + self.chunk_records)
+            self._put(shard, ("edges", block.part(start, stop)))
+            start = stop
+        self._buffers[shard] = [block.part(start, pending)] if start < pending else []
 
     # ------------------------------------------------------------------
     # Worker liveness and message plumbing

@@ -6,10 +6,10 @@ seed, same hash bank as every sibling — mergeability requires equal
 configs) and consumes only the edges the coordinator routes to its
 shard.  The protocol over the bounded task queue:
 
-* ``("edges", [(offset, u, v, op, timestamp), ...])`` — a chunk of
-  validated records owned by this shard, global stream offsets
-  ascending; ``op`` is 0 for an add, 1 for a delete (the coordinator
-  guard admits deletes only under a dynamic configuration),
+* ``("edges", block)`` — an :class:`~repro.stream.admission.AcceptedBlock`
+  of validated records owned by this shard, as columns (global stream
+  offsets ascending, endpoints, delete flags, timestamps; the
+  coordinator guard admits deletes only under a dynamic configuration),
 * ``("finish",)`` — the source is exhausted: write a final checkpoint
   (so a completed stream never replays) and report the shard state,
 * ``("halt",)`` — stop *without* a final checkpoint.  This is what a
@@ -35,6 +35,8 @@ from __future__ import annotations
 import traceback
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from repro.core.config import SketchConfig
 from repro.core.dynamic import DynamicMinHashPredictor
@@ -97,13 +99,18 @@ def shard_worker_main(
             message = task_queue.get()
             kind = message[0]
             if kind == "edges":
-                for record_offset, u, v, op, timestamp in message[1]:
-                    if record_offset < offset:
-                        continue  # replayed record already in a checkpoint
-                    fold.add(op == 1, u, v, timestamp)
-                    offset = record_offset + 1
-                    records_ok += 1
-                    since_checkpoint += 1
+                block = message[1]
+                # Replayed records already in a checkpoint are skipped.
+                start = int(np.searchsorted(block.offsets, offset))
+                while start < len(block.offsets):
+                    stop = len(block.offsets)
+                    if checkpoint_every:
+                        stop = min(stop, start + checkpoint_every - since_checkpoint)
+                    fold.add_block(block.part(start, stop))
+                    offset = int(block.offsets[stop - 1]) + 1
+                    records_ok += stop - start
+                    since_checkpoint += stop - start
+                    start = stop
                     if checkpoint_every and since_checkpoint >= checkpoint_every:
                         fold.flush()
                         manager.save(predictor, offset)

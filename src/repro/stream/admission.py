@@ -13,6 +13,16 @@ a local predictor through :class:`SpanFolder`, the sharded
 owns their shard (and the worker folds them through the same
 :class:`SpanFolder`).
 
+Records arrive in chunks (:meth:`Admission.admit_chunk`).  The text
+lines of a chunk that pass a strict syntactic check are parsed in bulk
+(:func:`~repro.graph.io.parse_edge_block`) and judged in bulk
+(:meth:`~repro.stream.policies.StreamGuard.screen`); every other record
+— a hostile line, a tuple, a line whose verdict the bulk judge cannot
+vouch for — goes through the scalar
+:meth:`~repro.stream.policies.StreamGuard.evaluate`, in stream order.
+The accepted records of a chunk leave as one columnar
+:class:`AcceptedBlock`.
+
 Deletions are consumed only by dynamic predictors (built from
 ``SketchConfig(dynamic_mode=True)``); on an append-only sink any delete
 dead-letters with reason ``unsupported_delete``, and a delete of an
@@ -22,10 +32,14 @@ edge the guarded stream never added dead-letters as
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from itertools import islice
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.core.dynamic import DynamicMinHashPredictor
 from repro.errors import ConfigurationError, DeadLetterError
+from repro.graph.io import parse_edge_block
 from repro.graph.stream import StreamRecord
 from repro.obs.registry import MetricsRegistry
 from repro.stream.deadletter import (
@@ -37,7 +51,37 @@ from repro.stream.deadletter import (
 from repro.stream.policies import PolicySet, StreamGuard
 from repro.stream.sources import EdgeSource, RetryingSource, SourceRecord
 
-__all__ = ["Admission", "SpanFolder"]
+__all__ = ["Admission", "AcceptedBlock", "SpanFolder", "CHUNK_RECORDS", "close_records"]
+
+#: Records one :meth:`Admission.admit_chunk` call judges at most.
+CHUNK_RECORDS = 4096
+
+
+class AcceptedBlock(NamedTuple):
+    """Accepted records in stream order, as columns: source offsets,
+    endpoints, whether each is a delete, and timestamps."""
+
+    offsets: np.ndarray
+    us: np.ndarray
+    vs: np.ndarray
+    deletes: np.ndarray
+    timestamps: np.ndarray
+
+    def part(self, start: int, stop: int) -> "AcceptedBlock":
+        """The records ``start:stop``."""
+        return AcceptedBlock(*(column[start:stop] for column in self))
+
+    @classmethod
+    def concatenate(cls, blocks: Sequence["AcceptedBlock"]) -> "AcceptedBlock":
+        return cls(*(np.concatenate(columns) for columns in zip(*blocks)))
+
+
+def close_records(records) -> None:
+    """Close a source's record iterator now (a file source parks its
+    handle for the next leg), if it is a generator."""
+    close = getattr(records, "close", None)
+    if close is not None:
+        close()
 
 
 def _reason_counts(counter) -> Dict[str, int]:
@@ -124,6 +168,8 @@ class Admission:
         self.guard = guard
         self.policy = policy
         self.dead_letters = dead_letters or MemoryDeadLetters()
+        #: Records of the last :meth:`admit_chunk` call judged so far.
+        self.settled = 0
         self._records = records
         # Hot-path handles resolved once: admit() pays one bound
         # attribute add per rejected record, nothing else.
@@ -191,6 +237,110 @@ class Admission:
             self._m_dead.inc()
             self._m_dead_reasons.labels(verdict.reason).inc()
         return None
+
+    def admit_chunk(
+        self,
+        records: Sequence[SourceRecord],
+        sink: Callable[[AcceptedBlock], None],
+    ) -> None:
+        """Judge a chunk of records in stream order; hand the accepted
+        ones to ``sink`` as one :class:`AcceptedBlock`.
+
+        Verdicts, dead letters and guard state are exactly those of
+        :meth:`admit` on each record in turn.  ``sink`` is called once,
+        also when a strict rejection raises partway: then it gets the
+        records accepted before the rejected one, and :attr:`settled`
+        counts the records judged (the rejected one excluded).
+        """
+        self.settled = 0
+        count = len(records)
+        first = records[0].offset
+        if records[-1].offset - first == count - 1:  # offsets ascend, so dense
+            offsets = np.arange(first, first + count, dtype=np.int64)
+        else:
+            offsets = np.fromiter((record[0] for record in records), np.int64, count)
+        parsed = parse_edge_block([record[1] for record in records])
+        us, vs = parsed.us, parsed.vs
+        timestamps = np.where(np.isnan(parsed.timestamps), offsets, parsed.timestamps)
+        screen = self.guard.screen(parsed.clean, us, vs, timestamps)
+        ok = screen.ok
+        accepted = np.zeros(count, dtype=bool)
+        typed_at: list = []  # (position, record) the scalar judge accepted
+        try:
+            scalar = np.flatnonzero(~ok).tolist()
+            index = position = 0
+            while True:
+                stop = scalar[index] if index < len(scalar) else count
+                if stop > position:
+                    screen.commit(position, stop)
+                    accepted[position:stop] = True
+                    self.settled = stop
+                if stop == count:
+                    break
+                typed = self.admit(records[stop])
+                self.settled = stop + 1
+                index += 1
+                if typed is not None:
+                    typed_at.append((stop, typed))
+                    if screen.scalar_accepted(stop, typed):
+                        scalar = (stop + 1 + np.flatnonzero(~ok[stop + 1 :])).tolist()
+                        index = 0
+                position = stop + 1
+        finally:
+            screen.close()
+            deletes = np.zeros(count, dtype=bool)
+            if typed_at:
+                # Scalar slots are not ok: the screen never reads them.
+                at = [slot for slot, _ in typed_at]
+                accepted[at] = True
+                us[at] = [typed.u for _, typed in typed_at]
+                vs[at] = [typed.v for _, typed in typed_at]
+                timestamps[at] = [typed.timestamp for _, typed in typed_at]
+                deletes[at] = [typed.op == "delete" for _, typed in typed_at]
+            chosen = np.flatnonzero(accepted)
+            if len(chosen):
+                sink(
+                    AcceptedBlock(
+                        offsets[chosen], us[chosen], vs[chosen], deletes[chosen], timestamps[chosen]
+                    )
+                )
+
+    def consume(
+        self,
+        records: Iterator[SourceRecord],
+        chunk_size: Callable[[int], int],
+        sink: Callable[[AcceptedBlock], None],
+        settle: Callable[[SourceRecord, int], None],
+    ) -> Tuple[bool, int]:
+        """Admit ``records`` chunk by chunk; returns ``(exhausted,
+        consumed)``.
+
+        ``chunk_size(consumed)`` bounds the next chunk, and ``0`` stops;
+        then one record is read ahead to tell whether the source is
+        exhausted.  ``settle(last, count)`` commits the ``count``
+        records of a chunk judged up to ``last`` — also when judging
+        stops partway (a strict rejection) or reading does (a source
+        error), whose exception then propagates.
+        """
+        consumed = 0
+        while True:
+            want = chunk_size(consumed)
+            if want <= 0:
+                return next(records, None) is None, consumed
+            chunk: List[SourceRecord] = []
+            try:
+                chunk.extend(islice(records, want))
+            finally:
+                # Records read before a source error are still admitted.
+                if chunk:
+                    try:
+                        self.admit_chunk(chunk, sink)
+                    finally:
+                        if self.settled:
+                            consumed += self.settled
+                            settle(chunk[self.settled - 1], self.settled)
+            if len(chunk) < want:
+                return True, consumed
 
     def ran(self, consumed: int, elapsed: float) -> None:
         """Account one ``run()`` call that consumed ``consumed`` records
@@ -261,43 +411,75 @@ class SpanFolder:
     scalar ``update``/``delete`` (block setup costs more than it saves
     on a single edge), so ``batch_size`` ``0``/``1`` is the scalar path.
     Either way the result is bit-identical to scalar ingestion, per the
-    ``update_block`` contract.
+    ``update_block`` contract, and the spans do not depend on how the
+    records arrive: one at a time (:meth:`add`) or in blocks
+    (:meth:`add_block`).
     """
 
     def __init__(self, predictor, batch_size: int) -> None:
         self.predictor = predictor
         self.batch_size = batch_size
-        self._us: list = []
-        self._vs: list = []
-        self._ts: list = []
+        self._parts: list = []
+        self._count = 0
         self._delete = False
 
     def add(self, delete: bool, u: int, v: int, timestamp: float) -> None:
         """Buffer one accepted record (``delete`` marks a retraction)."""
-        if delete != self._delete and self._us:
+        self._extend(delete, [u], [v], [timestamp])
+
+    def add_block(self, block: AcceptedBlock) -> None:
+        """Buffer a block of accepted records, in order."""
+        deletes = block.deletes
+        cuts = (np.flatnonzero(deletes[1:] != deletes[:-1]) + 1).tolist()
+        for start, stop in zip([0] + cuts, cuts + [len(deletes)]):
+            self._extend(
+                bool(deletes[start]),
+                block.us[start:stop],
+                block.vs[start:stop],
+                block.timestamps[start:stop],
+            )
+
+    def _extend(self, delete: bool, us, vs, timestamps) -> None:
+        if delete != self._delete and self._count:
             self.flush()
         self._delete = delete
-        self._us.append(u)
-        self._vs.append(v)
-        self._ts.append(timestamp)
-        if len(self._us) >= self.batch_size:
-            self.flush()
+        if self.batch_size <= 1:  # the scalar path: one record per span
+            for u, v, timestamp in zip(us, vs, timestamps):
+                self._apply(delete, [u], [v], [timestamp])
+            return
+        start, total = 0, len(us)
+        while start < total:
+            stop = min(total, start + self.batch_size - self._count)
+            self._parts.append((us[start:stop], vs[start:stop], timestamps[start:stop]))
+            self._count += stop - start
+            start = stop
+            if self._count >= self.batch_size:
+                self.flush()
 
     def flush(self) -> None:
         """Apply every buffered record to the predictor."""
-        us, vs, ts = self._us, self._vs, self._ts
-        if not us:
+        if not self._count:
             return
-        self._us, self._vs, self._ts = [], [], []
+        parts, self._parts, self._count = self._parts, [], 0
+        self._apply(
+            self._delete,
+            np.concatenate([part[0] for part in parts]),
+            np.concatenate([part[1] for part in parts]),
+            np.concatenate([part[2] for part in parts]),
+        )
+
+    def _apply(self, delete: bool, us, vs, timestamps) -> None:
         predictor = self.predictor
         if not isinstance(predictor, DynamicMinHashPredictor):
             # Append-only predictors never see a delete: admission
             # dead-letters them before they reach a sink.
             if len(us) == 1:
-                predictor.update(us[0], vs[0])
+                predictor.update(int(us[0]), int(vs[0]))
             else:
                 predictor.update_block(us, vs)
         elif len(us) == 1:
-            (predictor.delete if self._delete else predictor.update)(us[0], vs[0], ts[0])
+            (predictor.delete if delete else predictor.update)(
+                int(us[0]), int(vs[0]), float(timestamps[0])
+            )
         else:
-            (predictor.delete_block if self._delete else predictor.update_block)(us, vs, ts)
+            (predictor.delete_block if delete else predictor.update_block)(us, vs, timestamps)

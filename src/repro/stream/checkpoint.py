@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Any, Callable, List, NamedTuple, Optional, Union
+from typing import Any, Callable, Dict, List, NamedTuple, Mapping, Optional, Union
+
+import numpy as np
 
 from repro.core.persistence import VerifiedCheckpoint, read_checkpoint, save_predictor
 from repro.core.predictor import MinHashLinkPredictor
@@ -43,12 +45,14 @@ PathLike = Union[str, Path]
 class Checkpoint(NamedTuple):
     """A successfully loaded checkpoint: state (what
     :meth:`CheckpointManager.load_latest`'s builder made, the predictor
-    by default) + resume position."""
+    by default) + resume position, and the ingest guard's arrays when
+    they were asked for and saved."""
 
     state: Any
     offset: int
     generation: int
     path: Path
+    guard: Optional[Dict[str, np.ndarray]] = None
 
 
 class CheckpointManager:
@@ -103,11 +107,18 @@ class CheckpointManager:
     # Writing
     # ------------------------------------------------------------------
 
-    def save(self, predictor: MinHashLinkPredictor, offset: int) -> Path:
+    def save(
+        self,
+        predictor: MinHashLinkPredictor,
+        offset: int,
+        guard: Optional[Mapping[str, np.ndarray]] = None,
+    ) -> Path:
         """Write the next generation atomically; returns its path.
 
         Embeds ``offset`` (records consumed from the source, including
-        dead-lettered ones) so resume knows exactly where to continue.
+        dead-lettered ones) so resume knows exactly where to continue,
+        and the ingest guard's arrays when given (one archive, so one
+        ``os.replace`` publishes both).
         Old generations beyond ``keep`` and stray temp files from
         crashed writers are removed *after* the new file is durable.
         """
@@ -118,6 +129,7 @@ class CheckpointManager:
             path,
             metadata={"stream_offset": offset, "generation": generation},
             metrics=self.metrics,
+            guard=guard,
         )
         self._sweep()
         return path
@@ -141,7 +153,10 @@ class CheckpointManager:
         return generations[0] if generations else 0
 
     def load_latest(
-        self, build: Callable[[VerifiedCheckpoint], Any] = VerifiedCheckpoint.to_predictor
+        self,
+        build: Callable[[VerifiedCheckpoint], Any] = VerifiedCheckpoint.to_predictor,
+        *,
+        guard: bool = False,
     ) -> Optional[Checkpoint]:
         """Load the newest *intact* checkpoint, or ``None`` if none exist.
 
@@ -151,13 +166,14 @@ class CheckpointManager:
         :class:`~repro.errors.CheckpointCorruptError` is re-raised:
         silently starting from scratch would replay the whole stream
         into doubled degree counts.  ``build`` makes
-        :attr:`Checkpoint.state` from the verified generation.
+        :attr:`Checkpoint.state` from the verified generation; ``guard``
+        also reads (and verifies) the guard arrays a resume restores.
         """
         first_error: Optional[CheckpointCorruptError] = None
         for generation in self.generations():
             path = self._path_for(generation)
             try:
-                verified = read_checkpoint(path, metrics=self.metrics)
+                verified = read_checkpoint(path, metrics=self.metrics, guard=guard)
             except CheckpointCorruptError as error:
                 if self._m_corrupt is not None:
                     self._m_corrupt.inc()
@@ -165,7 +181,11 @@ class CheckpointManager:
                     first_error = error
                 continue
             return Checkpoint(
-                build(verified), verified.metadata.get("stream_offset", 0), generation, path
+                build(verified),
+                verified.metadata.get("stream_offset", 0),
+                generation,
+                path,
+                verified.guard,
             )
         if first_error is not None:
             raise first_error

@@ -30,11 +30,31 @@ Two layers cooperate:
   accepted shape — text line, ``(u, v[, t])`` tuple, ``Edge`` — into a
   typed :class:`~repro.graph.stream.StreamRecord`;
 * **stream level** — :class:`StreamGuard` additionally tracks
-  cross-record state (seen-edge set, per-vertex degrees, the timestamp
-  high-water mark) to detect ``duplicate_edge``,
+  cross-record state to detect ``duplicate_edge``,
   ``out_of_order_timestamp``, ``far_future_timestamp`` and
   ``hub_anomaly`` — the degree-explosion case gSketch shows distorts
   sketch estimators specifically.
+
+The guard's state is laid out for size, not per-edge objects:
+
+* the seen edges, a :class:`~repro.stream.seen.SeenEdges` store of
+  canonical ``(lo, hi)`` pairs in sorted ``uint64``/``int64`` columns —
+  16 bytes per accepted edge, plus a 64 KiB pending buffer;
+* the per-vertex degrees, a ``dict`` (one entry per vertex seen), with
+  the highest degree reached kept beside it;
+* the timestamp high-water mark, one float.
+
+:meth:`StreamGuard.state_arrays` exports the three as arrays (a
+checkpoint stores them with the sketches) and
+:meth:`StreamGuard.restore` loads them back.
+
+Two judges share that state.  :meth:`StreamGuard.evaluate` judges one
+record.  :meth:`StreamGuard.screen` judges a chunk of lines already
+parsed by :func:`repro.graph.io.parse_edge_block` in bulk and names the
+ones it can accept unchanged; the
+:class:`~repro.stream.admission.Admission` stage sends every other
+record through :meth:`~StreamGuard.evaluate`, in stream order, so both
+paths give bit-identical verdicts.
 
 A guard with ``policies=None`` reproduces the legacy contract exactly
 (parse-level validation only, dead-letter on violation): stream-level
@@ -44,14 +64,19 @@ detection costs state, so it is strictly opt-in.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import unicodedata
-from typing import Dict, Mapping, NamedTuple, Optional, Set, Tuple
+from itertools import repeat
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError, StreamFormatError
-from repro.graph.io import OP_TOKENS, parse_stream_record
+from repro.graph.io import MAX_VERTEX_ID, OP_TOKENS, out_of_range_detail, parse_stream_record
 from repro.graph.stream import OPS, StreamRecord
 from repro.stream.deadletter import REASONS
+from repro.stream.seen import SeenEdges
 from repro.stream.sources import SourceRecord
 
 __all__ = [
@@ -63,6 +88,7 @@ __all__ = [
     "GuardVerdict",
     "StreamGuard",
     "ContractViolation",
+    "ChunkScreen",
     "coerce_stream_record",
 ]
 
@@ -125,6 +151,9 @@ def _coerce_vertex_pair(u: object, v: object, value: object) -> Tuple[int, int]:
         raise ContractViolation("non_integer_vertex", f"non-integer vertex field in {value!r}")
     if u < 0 or v < 0:
         raise ContractViolation("negative_vertex", f"negative vertex id in {value!r}")
+    for field, vertex in (("u", u), ("v", v)):
+        if vertex > MAX_VERTEX_ID:
+            raise ContractViolation("non_integer_vertex", out_of_range_detail(field, vertex))
     return u, v
 
 
@@ -359,8 +388,10 @@ class StreamGuard:
         #: guard instead checks ``delete_unseen_edge`` and, on accept,
         #: retracts the edge from its own seen/degree state.
         self.supports_deletes = supports_deletes
-        self._seen: Set[Tuple[int, int]] = set()
+        self._seen = SeenEdges()
         self._degrees: Dict[int, int] = {}
+        #: At least every degree in ``_degrees`` (deletes do not lower it).
+        self._top_degree = 0
         self._high_water = float("-inf")
 
     @property
@@ -372,7 +403,32 @@ class StreamGuard:
         """Forget all cross-record state (a fresh logical stream)."""
         self._seen.clear()
         self._degrees.clear()
+        self._top_degree = 0
         self._high_water = float("-inf")
+
+    def state_arrays(self) -> Dict[str, np.ndarray]:
+        """The cross-record state as arrays: seen edges (``seen_lo``/
+        ``seen_hi``, canonical pairs in no particular order), degrees
+        (``degree_vertices``/``degrees``) and ``high_water``."""
+        lo, hi = self._seen.pairs()
+        count = len(self._degrees)
+        return {
+            "seen_lo": lo,
+            "seen_hi": hi,
+            "degree_vertices": np.fromiter(self._degrees, np.int64, count),
+            "degrees": np.fromiter(self._degrees.values(), np.int64, count),
+            "high_water": np.float64(self._high_water),
+        }
+
+    def restore(self, arrays: Mapping[str, np.ndarray]) -> None:
+        """Replace the cross-record state with :meth:`state_arrays` output."""
+        self.reset()
+        lo, hi = arrays["seen_lo"], arrays["seen_hi"]
+        self._seen.add_new_keys(SeenEdges.keys(lo, hi), lo)
+        degrees = arrays["degrees"]
+        self._degrees.update(zip(arrays["degree_vertices"].tolist(), degrees.tolist()))
+        self._top_degree = int(degrees.max()) if len(degrees) else 0
+        self._high_water = float(arrays["high_water"])
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -405,6 +461,31 @@ class StreamGuard:
                 )
             return GuardVerdict("ok", None, "", (), parsed)
         return self._stream_verdict(parsed, [], active)
+
+    def screen(
+        self,
+        clean: np.ndarray,
+        us: np.ndarray,
+        vs: np.ndarray,
+        timestamps: np.ndarray,
+    ) -> "ChunkScreen":
+        """Judge a chunk of records in bulk (see :class:`ChunkScreen`).
+
+        The arrays cover every record of the chunk: ``clean`` marks the
+        text lines :func:`~repro.graph.io.parse_edge_block` parsed,
+        ``us``/``vs`` their ids and ``timestamps`` their timestamp,
+        already defaulted to the offset.
+        """
+        return ChunkScreen(self, clean, us, vs, timestamps)
+
+    def _count_degrees(self, us: np.ndarray, vs: np.ndarray) -> None:
+        """Add one degree per endpoint of accepted edges."""
+        vertices, counts = np.unique(np.concatenate((us, vs)), return_counts=True)
+        vertices = vertices.tolist()
+        degrees = self._degrees
+        totals = list(map(operator.add, map(degrees.get, vertices, repeat(0)), counts.tolist()))
+        degrees.update(zip(vertices, totals))
+        self._top_degree = max(self._top_degree, max(totals))
 
     def _parse_verdict(
         self, record: SourceRecord, violation: ContractViolation, policies: PolicySet
@@ -477,7 +558,7 @@ class StreamGuard:
         if parsed.op == "delete":
             # Accepted delete: retract the edge from the detector state
             # so a later re-add is a fresh edge, not a duplicate.
-            self._seen.discard(key)
+            self._seen.discard(*key)
             self._degrees[parsed.u] = max(0, self._degrees.get(parsed.u, 0) - 1)
             self._degrees[parsed.v] = max(0, self._degrees.get(parsed.v, 0) - 1)
         else:
@@ -491,9 +572,10 @@ class StreamGuard:
                 )
                 return self._removed("hub_anomaly", detail, cases, policies)
             # Accepted: commit the detector state.
-            self._seen.add(key)
+            self._seen.add_new(*key)
             self._degrees[parsed.u] = degree_u + 1
             self._degrees[parsed.v] = degree_v + 1
+            self._top_degree = max(self._top_degree, degree_u + 1, degree_v + 1)
         if parsed.timestamp > self._high_water:
             self._high_water = parsed.timestamp
         if cases:
@@ -562,6 +644,117 @@ class StreamGuard:
     def _reparse(self, record: SourceRecord, repaired: object) -> Optional[StreamRecord]:
         """Re-run the repaired value through the full record contract."""
         return coerce_stream_record(record._replace(value=repaired), self.self_loops)
+
+
+class ChunkScreen:
+    """The guard's bulk verdicts over one chunk of records.
+
+    :attr:`ok` marks the records the guard accepts unchanged: clean
+    lines that are no self-loop and, under casebook policies, no
+    duplicate (of an accepted edge or of an earlier line of the
+    chunk), within the far-future horizon, not earlier than the
+    high-water mark or any earlier line of the chunk, and on no vertex
+    that the chunk's records could push to the hub limit.  Every other
+    record goes to :meth:`StreamGuard.evaluate`, and its verdict cannot
+    change an ``ok`` one except in two ways, which
+    :meth:`scalar_accepted` applies: an accepted record makes a later
+    line with its edge a duplicate, and a later line with an earlier
+    timestamp out of order.
+
+    The caller walks the chunk in stream order: :meth:`commit` each run
+    of ``ok`` records, evaluate the record after it, report it if
+    accepted, and so on; then :meth:`close`.  When no vertex can reach
+    the hub limit within the chunk and no delete can retract an edge,
+    degree counts wait for :meth:`close` (the scalar judge's hub check
+    cannot fire, and its increments add up in any order).
+    """
+
+    def __init__(
+        self,
+        guard: StreamGuard,
+        clean: np.ndarray,
+        us: np.ndarray,
+        vs: np.ndarray,
+        timestamps: np.ndarray,
+    ) -> None:
+        self.guard = guard
+        self.ok = ok = clean & (us != vs)
+        self.us, self.vs, self.timestamps = us, vs, timestamps
+        self._deferred: list = []
+        self._defer = False
+        if guard.policies is None:
+            return
+        count = len(ok)
+        horizon = guard.max_timestamp
+        ok &= timestamps <= horizon
+        # Out of order against the high-water mark or any earlier clean
+        # line: an upper bound of the mark whatever those lines' fate.
+        bound = np.where(clean, np.minimum(timestamps, horizon), -np.inf)
+        bound = np.maximum.accumulate(np.concatenate(([guard._high_water], bound[:-1])))
+        ok &= timestamps >= bound
+        self.lo, self.hi = np.minimum(us, vs), np.maximum(us, vs)
+        self.keys = SeenEdges.keys(self.lo, self.hi)
+        # Duplicates: keep the first line of each key that is not seen.
+        # (Two edges sharing a key leave the second to the scalar judge.)
+        candidates = np.flatnonzero(ok)
+        keys, first = np.unique(self.keys[candidates], return_index=True)
+        first = candidates[first]
+        ok[:] = False
+        ok[first[~guard._seen.contains_keys(keys, self.lo[first])]] = True
+        # Hub limit: each record can add at most one to a vertex degree.
+        limit = guard.hub_degree_limit
+        self._defer = not guard.supports_deletes and guard._top_degree + count <= limit
+        if guard._top_degree + count > limit:
+            chosen = np.flatnonzero(ok)
+            vertices, occurrences = np.unique(
+                np.concatenate((us[chosen], vs[chosen])), return_counts=True
+            )
+            before = np.fromiter(
+                map(guard._degrees.get, vertices.tolist(), repeat(0)), np.int64, len(vertices)
+            )
+            risky = vertices[before + occurrences + (count - len(chosen)) > limit]
+            if len(risky):
+                ok[chosen[np.isin(us[chosen], risky) | np.isin(vs[chosen], risky)]] = False
+        # Past the last ok line, no verdict is left to withdraw.
+        self._last_ok = int(np.flatnonzero(ok)[-1]) if ok.any() else -1
+
+    def commit(self, start: int, stop: int) -> None:
+        """Accept the records ``start:stop``, all of them ``ok``."""
+        guard = self.guard
+        if guard.policies is None:
+            return
+        guard._seen.add_new_keys(self.keys[start:stop], self.lo[start:stop])
+        # An ok line is not earlier than any line before it: the last
+        # line of a run holds the run's latest timestamp.
+        guard._high_water = max(guard._high_water, float(self.timestamps[stop - 1]))
+        if self._defer:
+            self._deferred.append((start, stop))
+        else:
+            guard._count_degrees(self.us[start:stop], self.vs[start:stop])
+
+    def scalar_accepted(self, position: int, record: StreamRecord) -> bool:
+        """Withdraw ``ok`` from the later lines a record the scalar judge
+        accepted at ``position`` affects; returns whether any lost it."""
+        if self.guard.policies is None or position >= self._last_ok:
+            return False
+        later = self.ok[position + 1 :]
+        revoked = later & (self.timestamps[position + 1 :] < record.timestamp)
+        if record.op == "add":
+            lo, hi = min(record.u, record.v), max(record.u, record.v)
+            revoked |= later & (self.lo[position + 1 :] == lo) & (self.hi[position + 1 :] == hi)
+        if not revoked.any():
+            return False
+        later[revoked] = False
+        return True
+
+    def close(self) -> None:
+        """Count the deferred degrees."""
+        if self._deferred:
+            runs, self._deferred = self._deferred, []
+            self.guard._count_degrees(
+                np.concatenate([self.us[start:stop] for start, stop in runs]),
+                np.concatenate([self.vs[start:stop] for start, stop in runs]),
+            )
 
 
 def _strip_hostile_encoding(text: str) -> str:

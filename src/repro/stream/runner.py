@@ -25,9 +25,13 @@ offset is below the checkpoint's.
 
 Records pass through one :class:`~repro.stream.admission.Admission`
 stage — the same record contract, casebook policies and dead-letter
-channel as the sharded :class:`~repro.parallel.ShardedRunner` — and the
-accepted ones fold into the local predictor through a
-:class:`~repro.stream.admission.SpanFolder`.
+channel as the sharded :class:`~repro.parallel.ShardedRunner` — in
+chunks that never cross a checkpoint boundary, the ``max_records`` stop
+or a ``--metrics-every`` sample, and the accepted ones fold into the
+local predictor through a :class:`~repro.stream.admission.SpanFolder`.
+A checkpoint holds the guard's state beside the sketches, so a resumed
+run judges duplicates, hubs and timestamps against everything before
+its offset, exactly like an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -41,11 +45,17 @@ from repro.core.predictor import MinHashLinkPredictor
 from repro.errors import ConfigurationError
 from repro.obs.export import PeriodicReporter
 from repro.obs.registry import MetricsRegistry
-from repro.stream.admission import Admission, SpanFolder
+from repro.stream.admission import (
+    CHUNK_RECORDS,
+    AcceptedBlock,
+    Admission,
+    SpanFolder,
+    close_records,
+)
 from repro.stream.checkpoint import CheckpointManager
 from repro.stream.deadletter import DeadLetterSink
 from repro.stream.policies import PolicySet, StreamGuard
-from repro.stream.sources import EdgeSource
+from repro.stream.sources import EdgeSource, SourceRecord
 
 __all__ = ["StreamRunner"]
 
@@ -86,7 +96,8 @@ class StreamRunner:
         — pass one only when bookkeeping itself must cost nothing.
     reporter:
         Optional :class:`~repro.obs.export.PeriodicReporter` ticked
-        once per consumed record (the ``--metrics-out``/
+        once per admitted chunk, at the same record counts as one tick
+        per record would sample (the ``--metrics-out``/
         ``--metrics-every`` flight recorder).  The runner never closes
         it — the owner decides when the final sample lands.
     batch_size:
@@ -214,9 +225,11 @@ class StreamRunner:
             raise ConfigurationError("resume() needs a checkpoint_manager")
         if self.records_in:
             raise ConfigurationError("resume() after records were consumed would double-count")
-        checkpoint = self.checkpoints.load_latest()
+        checkpoint = self.checkpoints.load_latest(guard=self.guard.active)
         if checkpoint is None:
             return False
+        if checkpoint.guard is not None:
+            self.guard.restore(checkpoint.guard)
         self.predictor = self._fold.predictor = checkpoint.state
         self.offset = checkpoint.offset
         self.resumed_from = checkpoint.generation
@@ -239,44 +252,63 @@ class StreamRunner:
         kill-and-resume tests exploit.
         """
         started = self.clock()
-        consumed_this_call = 0
-        admit = self.admission.admit
-        fold = self._fold
+        records = iter(self.source.records(self.offset))
         try:
-            for record in self.source.records(self.offset):
-                if max_records is not None and consumed_this_call >= max_records:
-                    break
-                accepted = admit(record)  # a strict rejection raises uncommitted
-                if accepted is not None:
-                    fold.add(accepted.op == "delete", accepted.u, accepted.v, accepted.timestamp)
-                    self._m_ok.inc()
-                # Dead-lettered and dropped records still commit the
-                # offset: quarantining must never desynchronise resume.
-                self.offset = record.offset + 1
-                self._since_checkpoint += 1
-                consumed_this_call += 1
-                if self.reporter is not None:
-                    self.reporter.tick()
-                if self.checkpoint_every and self._since_checkpoint >= self.checkpoint_every:
-                    self.checkpoint()  # flushes pending edges first
-            else:
+            exhausted, consumed = self.admission.consume(
+                records,
+                lambda consumed: self._next_chunk(max_records, consumed),
+                self._accept,
+                self._settle,
+            )
+            if exhausted:
                 self.source_exhausted = True
                 if self.checkpoints is not None and self._since_checkpoint:
                     self.checkpoint()
         finally:
+            close_records(records)
             # Whatever stopped the loop — exhaustion, max_records, a
             # strict rejection, a source error — state must reflect
             # every committed offset before control leaves run().
-            fold.flush()
-        self.admission.ran(consumed_this_call, self.clock() - started)
+            self._fold.flush()
+        self.admission.ran(consumed, self.clock() - started)
         return self.stats()
+
+    def _next_chunk(self, max_records: Optional[int], consumed: int) -> int:
+        """Checkpoint if one is due, then size the next chunk: up to the
+        next checkpoint, the ``max_records`` stop and the reporter's
+        next sample."""
+        if self.checkpoint_every and self._since_checkpoint >= self.checkpoint_every:
+            self.checkpoint()  # flushes pending edges first
+        want = CHUNK_RECORDS
+        if self.checkpoint_every:
+            want = min(want, self.checkpoint_every - self._since_checkpoint)
+        if max_records is not None:
+            want = min(want, max_records - consumed)
+        if self.reporter is not None:
+            want = min(want, self.reporter.records_until_due() or want)
+        return want
+
+    def _settle(self, last: SourceRecord, count: int) -> None:
+        """Commit the offset of every record judged.  A strict rejection
+        raises uncommitted: the offset stops at the rejected record.
+        Dead-lettered and dropped records still commit theirs:
+        quarantining must never desynchronise resume."""
+        self.offset = last.offset + 1
+        self._since_checkpoint += count
+        if self.reporter is not None:
+            self.reporter.tick(count)
+
+    def _accept(self, block: AcceptedBlock) -> None:
+        self._fold.add_block(block)
+        self._m_ok.inc(len(block.offsets))
 
     # ------------------------------------------------------------------
     # Checkpoints and health
     # ------------------------------------------------------------------
 
     def checkpoint(self) -> None:
-        """Snapshot ``(predictor, committed offset)`` atomically now.
+        """Snapshot ``(predictor, guard state, committed offset)``
+        atomically now.
 
         Pending batched edges are flushed first — a checkpoint must
         reflect every record below its offset."""
@@ -284,7 +316,11 @@ class StreamRunner:
             raise ConfigurationError("no checkpoint_manager configured")
         self._fold.flush()
         started = self.clock()
-        self.checkpoints.save(self.predictor, self.offset)
+        self.checkpoints.save(
+            self.predictor,
+            self.offset,
+            guard=self.guard.state_arrays() if self.guard.active else None,
+        )
         finished = self.clock()
         self._m_checkpoint_seconds.observe(finished - started)
         self._m_checkpoints.inc()

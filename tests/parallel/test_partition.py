@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.parallel import shard_counts, shard_of
+from repro.parallel import shard_counts, shard_of, shard_of_array
+
+vertex_ids = st.one_of(st.integers(0, 50), st.integers(0, 2**63 - 1))
 
 
 class TestShardOf:
@@ -47,3 +52,22 @@ class TestShardOf:
     def test_shard_counts_total(self):
         edges = [(u, v) for u in range(30) for v in range(u + 1, 30)]
         assert sum(shard_counts(edges, 5)) == len(edges)
+
+
+class TestShardOfArray:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(vertex_ids, vertex_ids), max_size=40),
+        st.integers(1, 9),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_equals_the_scalar_partition_element_by_element(self, edges, shards, seed):
+        us = np.array([u for u, _ in edges], dtype=np.int64)
+        vs = np.array([v for _, v in edges], dtype=np.int64)
+        shards_of = shard_of_array(us, vs, shards, seed)
+        assert shards_of.dtype == np.int64
+        assert shards_of.tolist() == [shard_of(u, v, shards, seed) for u, v in edges]
+
+    def test_rejects_nonpositive_shards(self):
+        with pytest.raises(ConfigurationError):
+            shard_of_array([1], [2], 0)
