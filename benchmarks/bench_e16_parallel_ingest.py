@@ -121,14 +121,14 @@ class _KillOneWorker(EdgeSource):
             yield record
 
 
-def _recovery_drill(path, serial_arrays, checkpoint_dir, edges):
+def _recovery_drill(path, serial_arrays, checkpoint_dir, edges, workers=WORKERS):
     """Kill shard 0 mid-stream, resume, and verify bit-identity.
 
     Returns a result dict; ``ok`` is True only when the crash surfaced
     as WorkerCrashError *and* the resumed run reproduced the serial
     predictor exactly.
     """
-    checkpoint_every = max(edges // (WORKERS * 40), 100)
+    checkpoint_every = max(edges // (workers * 40), 100)
     holder = {}
     source = _KillOneWorker(
         FileEdgeSource(path),
@@ -137,7 +137,7 @@ def _recovery_drill(path, serial_arrays, checkpoint_dir, edges):
     )
     runner = ShardedRunner(
         source,
-        workers=WORKERS,
+        workers=workers,
         config=CONFIG,
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=checkpoint_every,
@@ -152,7 +152,7 @@ def _recovery_drill(path, serial_arrays, checkpoint_dir, edges):
 
     recovered = ShardedRunner(
         FileEdgeSource(path),
-        workers=WORKERS,
+        workers=workers,
         config=CONFIG,
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=checkpoint_every,
@@ -172,11 +172,11 @@ def _recovery_drill(path, serial_arrays, checkpoint_dir, edges):
     }
 
 
-def _render(edges, serial_seconds, sharded_seconds, speedup, recovery):
+def _render(edges, serial_seconds, sharded_seconds, speedup, recovery, workers=WORKERS):
     rows = [
         ["serial StreamRunner", serial_seconds, edges / serial_seconds, 1.0],
         [
-            f"ShardedRunner workers={WORKERS}",
+            f"ShardedRunner workers={workers}",
             sharded_seconds,
             edges / sharded_seconds,
             speedup,
@@ -193,8 +193,8 @@ def _render(edges, serial_seconds, sharded_seconds, speedup, recovery):
     )
     if SCALE != "full":
         why = "report-only at smoke scale"
-    elif CORES < WORKERS:
-        why = f"report-only: host has {CORES} cpu(s) for {WORKERS} workers"
+    elif CORES < workers:
+        why = f"report-only: host has {CORES} cpu(s) for {workers} workers"
     else:
         why = "gating"
     gate = f"bar {SPEEDUP_BAR:.1f}x ({why})"
@@ -304,9 +304,9 @@ def main(argv=None):
     mismatched = _mismatches(sharded.predictor.export_arrays(), serial_arrays)
 
     with tempfile.TemporaryDirectory(prefix="bench-e16-ck-") as ckpt:
-        recovery = _recovery_drill(path, serial_arrays, ckpt, edges)
+        recovery = _recovery_drill(path, serial_arrays, ckpt, edges, args.workers)
 
-    text = _render(edges, serial_seconds, sharded_seconds, speedup, recovery)
+    text = _render(edges, serial_seconds, sharded_seconds, speedup, recovery, args.workers)
     emit("e16_parallel_ingest", text)
     emit_json(
         "e16_parallel_ingest",

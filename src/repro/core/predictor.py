@@ -86,6 +86,11 @@ class SketchArrays(NamedTuple):
     #: Degrees as currently believed by the tracker, ``int64 (n,)``.
     degrees: np.ndarray
 
+    def row_chunks(self):
+        """The ``(values, witnesses)`` rows as one chunk: how
+        :func:`fold_sketch_arrays` reads a part held whole."""
+        return ((self.values, self.witnesses),)
+
 
 @dataclass(frozen=True)
 class PairEstimate:
@@ -525,20 +530,34 @@ def _exact_degrees(vertex_ids: np.ndarray, degrees: np.ndarray) -> ExactDegrees:
     return table
 
 
-def fold_sketch_arrays(parts: Iterable[SketchArrays], config: SketchConfig) -> MinHashLinkPredictor:
-    """One predictor holding the union of per-shard sketch arrays: parts
-    fold in order, a slot tie keeps the earlier part's witness (any fold
-    order gives :meth:`MinHashLinkPredictor.merge`'s result), and update
-    counts and degrees add."""
+def fold_sketch_arrays(parts: Iterable, config: SketchConfig) -> MinHashLinkPredictor:
+    """One predictor holding the union of per-shard sketch parts.
+
+    A part has per-vertex ``vertex_ids``, ``update_counts`` and
+    ``degrees`` columns, and ``row_chunks()`` yields its ``(values,
+    witnesses)`` rows as consecutive chunks: a :class:`SketchArrays`
+    yields them whole, the sharded coordinator reads them off a
+    worker's pipe.  The union store is sized from the small columns
+    before any row arrives, so it never grows mid-fold and only one
+    chunk of a part is resident at a time.  Parts fold in order, a slot
+    tie keeps the earlier part's witness (any fold order gives
+    :meth:`MinHashLinkPredictor.merge`'s result), and update counts and
+    degrees add.
+    """
     parts = list(parts)
     vertex_ids = np.unique(np.concatenate([part.vertex_ids for part in parts]))
     degrees = np.zeros(len(vertex_ids), dtype=np.int64)
     merged = MinHashLinkPredictor(config)
-    # One row per vertex of the union up front: the store never grows mid-fold.
     merged._append(vertex_ids.tolist())
     for part in parts:
-        merged._merge_rows(*part[:4])
         degrees[np.searchsorted(vertex_ids, part.vertex_ids)] += part.degrees
+        start = 0
+        for values, witnesses in part.row_chunks():
+            stop = start + len(values)
+            merged._merge_rows(
+                part.vertex_ids[start:stop], values, witnesses, part.update_counts[start:stop]
+            )
+            start = stop
     merged._degrees = _exact_degrees(vertex_ids, degrees)
     return merged
 
@@ -560,19 +579,24 @@ def mergeable_config(shards: Sequence) -> SketchConfig:
     return config
 
 
-def merge_shards(shards: "list[MinHashLinkPredictor]") -> MinHashLinkPredictor:
-    """Reduce shard predictors into one (the parallel-ingest join step).
+def merge_shards(shards: Sequence) -> MinHashLinkPredictor:
+    """Reduce shards into one predictor (the parallel-ingest join step).
 
-    One :func:`fold_sketch_arrays` pass over the shards' stored rows, in
-    shard order, so slot ties (two shards holding the same minimum)
-    resolve in shard order — the result equals folding left-to-right
-    through :meth:`MinHashLinkPredictor.merge`, and a serial stream
-    presents the lower-offset arrival first only when hash values
-    genuinely tie, which the fold breaks identically for any
-    association order.  A single shard is returned as it is; more go
-    through :func:`mergeable_config`'s checks.
+    A shard is a predictor, whose stored rows fold as views (no copy),
+    or a part of :func:`fold_sketch_arrays` that carries its ``config``
+    (the sharded coordinator's pipe reader).  One fold pass in shard
+    order, so slot ties (two shards holding the same minimum) resolve
+    in shard order — the result equals folding left-to-right through
+    :meth:`MinHashLinkPredictor.merge`, and a serial stream presents
+    the lower-offset arrival first only when hash values genuinely tie,
+    which the fold breaks identically for any association order.  The
+    configurations pass :func:`mergeable_config`'s checks.
     """
-    if len(shards) == 1:
-        return shards[0]
     config = mergeable_config(shards)
-    return fold_sketch_arrays((shard._stored_arrays() for shard in shards), config)
+    return fold_sketch_arrays(
+        (
+            shard._stored_arrays() if isinstance(shard, MinHashLinkPredictor) else shard
+            for shard in shards
+        ),
+        config,
+    )

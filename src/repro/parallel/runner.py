@@ -5,9 +5,8 @@
 stream across ``workers`` processes (hash-partitioned by edge — see
 :mod:`repro.parallel.partition`), drives them through bounded
 ``multiprocessing`` queues with backpressure, and reduces the shard
-predictors through the exact ``merge()`` algebra into a single
-predictor that is **bit-identical** to serial ingestion of the same
-stream.
+states through the exact ``merge()`` algebra into a single predictor
+that is **bit-identical** to serial ingestion of the same stream.
 
 Division of labour:
 
@@ -23,6 +22,16 @@ Division of labour:
   :class:`~repro.stream.checkpoint.CheckpointManager` subdirectory, and
   checkpoints every ``checkpoint_every`` of *its* records with the
   global offset it is committed through.
+
+The reduce is streamed: at the end of the stream each worker writes its
+state to a one-way pipe as raw columns
+(:func:`~repro.parallel.worker.send_state`).  The coordinator reads
+every shard's per-vertex columns, sizes one store for the union of
+their vertices, then reads shard 0's rows, shard 1's, ..., one chunk
+at a time into a reused buffer, folding each chunk in
+(:func:`~repro.core.predictor.merge_shards`).  No predictor is pickled,
+and the coordinator never holds more than the merged store plus one
+chunk.
 
 The crash-recovery contract extends PR-1's: kill any worker at any
 point (the coordinator raises :class:`~repro.errors.WorkerCrashError`),
@@ -44,7 +53,9 @@ from __future__ import annotations
 import multiprocessing
 import queue as queue_module
 import time
-from typing import Callable, Dict, List, Optional, Union
+from functools import partial
+from itertools import islice
+from typing import Callable, Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -54,9 +65,14 @@ from repro.core.predictor import MinHashLinkPredictor, merge_shards
 from repro.errors import ConfigurationError, WorkerCrashError
 from repro.obs.registry import MetricsRegistry
 from repro.parallel.partition import shard_of_array
-from repro.parallel.worker import shard_directory, shard_worker_main
+from repro.parallel.worker import (
+    chunk_buffers,
+    receive_state,
+    shard_directory,
+    shard_worker_main,
+)
 from repro.stream.admission import AcceptedBlock, Admission, close_records
-from repro.stream.deadletter import DeadLetterSink
+from repro.stream.deadletter import DeadLetterSink, MemoryDeadLetters
 from repro.stream.policies import PolicySet, StreamGuard
 from repro.stream.sources import EdgeSource, SourceRecord
 
@@ -186,8 +202,8 @@ class ShardedRunner:
         # Guard state lives coordinator-side: one process sees every
         # record in stream order, so stream-level detection is
         # deterministic and identical to the serial runner's.  It is
-        # not checkpointed: a resume starts it empty at the lowest
-        # shard offset (see docs/OPERATIONS.md).
+        # not checkpointed: a resume rebuilds it by replaying the
+        # records below the lowest shard offset (_restore_guard).
         self.admission = Admission(
             source,
             self.metrics,
@@ -274,13 +290,19 @@ class ShardedRunner:
         self._result_queue = context.Queue()
         self._done: Dict[int, dict] = {}
         self._ready: Dict[int, int] = {}
-        self.processes = [
-            context.Process(
+        self.processes = []
+        self._state_pipes = []
+        for shard in range(self.workers):
+            # Made just before its worker starts, so a forked sibling
+            # never inherits this pipe's send end.
+            receiver, sender = context.Pipe(duplex=False)
+            process = context.Process(
                 target=shard_worker_main,
                 args=(
                     shard,
                     self._task_queues[shard],
                     self._result_queue,
+                    sender,
                     self.config,
                     self.checkpoint_dir,
                     self.checkpoint_every,
@@ -291,10 +313,10 @@ class ShardedRunner:
                 daemon=True,
                 name=f"repro-shard-{shard}",
             )
-            for shard in range(self.workers)
-        ]
-        for process in self.processes:
             process.start()
+            sender.close()  # the worker's exit now reads as EOF here
+            self.processes.append(process)
+            self._state_pipes.append(receiver)
         consumed = 0
         try:
             self._collect(self._ready)
@@ -302,8 +324,11 @@ class ShardedRunner:
             self.offset = start_offset
             self._buffers: List[List[AcceptedBlock]] = [[] for _ in range(self.workers)]
             size = self.chunk_records * self.workers  # ~one message per shard
-            records = iter(self.source.records(start_offset))
+            replay = start_offset if self._resume_requested and self.guard.active else 0
+            records = iter(self.source.records(start_offset - replay))
             try:
+                if replay:
+                    self._restore_guard(islice(records, replay), size)
                 exhausted, consumed = self.admission.consume(
                     records,
                     lambda consumed: size if max_records is None else min(
@@ -320,6 +345,7 @@ class ShardedRunner:
             for shard in range(self.workers):
                 self._put(shard, sentinel)
             self.source_exhausted = exhausted
+            self._reduce()  # before join: a worker blocks until its state is read
             self._collect(self._done)
         except BaseException:
             self._abort()
@@ -327,9 +353,25 @@ class ShardedRunner:
         finally:
             for process in self.processes:
                 process.join(timeout=5.0)
-        self._fold_results()
+            for pipe in self._state_pipes:
+                pipe.close()
         self.admission.ran(consumed, self.clock() - started)
         return self.stats()
+
+    def _restore_guard(self, records: Iterator[SourceRecord], size: int) -> None:
+        """Bring the guard to its state after ``records`` (the stream
+        below the lowest shard offset) by judging them again through a
+        throwaway admission: no sink, no counters, no dead letters."""
+        quiet = MetricsRegistry(enabled=False)
+        Admission(
+            self.source,
+            quiet,
+            quiet.counter("ingest_records_total", labelnames=("outcome",)),
+            dynamic=self.config.dynamic_mode,
+            dead_letters=MemoryDeadLetters(capacity=0),
+            self_loops=self.guard.self_loops,
+            guard=self.guard,
+        ).consume(records, lambda consumed: size, lambda block: None, lambda last, count: None)
 
     def _settle(self, last: SourceRecord, count: int) -> None:
         self.offset = last.offset + 1
@@ -396,7 +438,10 @@ class ShardedRunner:
             self.shard_offsets[shard] = message[2]
             self.resumed_generations[shard] = message[3]
         elif kind == "done":
-            self._done[shard] = message[2]
+            payload = self._done[shard] = message[2]
+            self.shard_offsets[shard] = payload["offset"]
+            self.shard_records[shard] = payload["records_ok"]
+            self._m_checkpoints.inc(payload["checkpoints_written"])
         elif kind == "error":
             raise WorkerCrashError(
                 f"shard {shard} worker raised:\n{message[2]}",
@@ -427,6 +472,32 @@ class ShardedRunner:
             except queue_module.Empty:
                 self._check_alive()
 
+    def _receive(self, shard: int, into: Optional[np.ndarray] = None):
+        """The next message on a shard's state pipe: its bytes, or
+        ``into`` filled with it.  A worker that dies, or closes its pipe
+        mid-send, raises :class:`WorkerCrashError` (with its traceback,
+        if it forwarded one)."""
+        pipe = self._state_pipes[shard]
+        while not pipe.poll(_POLL_SECONDS):
+            self._check_alive()
+        try:
+            if into is None:
+                return pipe.recv_bytes()
+            if pipe.recv_bytes_into(into) == into.nbytes:
+                return into
+        except EOFError:
+            pass
+        process = self.processes[shard]
+        process.join(_POLL_SECONDS)  # an exiting worker: let its exit code settle
+        self._drain_results()
+        raise WorkerCrashError(
+            f"shard {shard} worker (pid {process.pid}) broke off sending its state "
+            f"(exit code {process.exitcode}); resume from the per-shard checkpoints "
+            "to recover",
+            shard=shard,
+            exitcode=process.exitcode,
+        )
+
     def _abort(self) -> None:
         for process in self.processes:
             if process.is_alive():
@@ -439,19 +510,23 @@ class ShardedRunner:
     # Reduce and health
     # ------------------------------------------------------------------
 
-    def _fold_results(self) -> None:
-        for shard in range(self.workers):
-            payload = self._done[shard]
-            self.shard_offsets[shard] = payload["offset"]
-            self.shard_records[shard] = payload["records_ok"]
-            self._m_checkpoints.inc(payload["checkpoints_written"])
+    def _reduce(self) -> None:
+        """Read every shard's state off its pipe into :attr:`predictor`.
+
+        Append shards fold chunk by chunk as they arrive (the merge time
+        includes reading their rows); dynamic shards arrive whole as
+        :class:`~repro.core.dynamic.DynamicArrays` and are rebuilt, then
+        reduced.
+        """
+        dynamic = self.config.dynamic_mode
+        buffers = None if dynamic else chunk_buffers(self.config)
+        shards = [
+            receive_state(partial(self._receive, shard), self.config, buffers)
+            for shard in range(self.workers)
+        ]
+        reduce_shards = merge_dynamic_shards if dynamic else merge_shards
         merge_started = self.clock()
-        reduce_shards = (
-            merge_dynamic_shards if self.config.dynamic_mode else merge_shards
-        )
-        self.predictor = reduce_shards(
-            [self._done[shard]["predictor"] for shard in range(self.workers)]
-        )
+        self.predictor = reduce_shards(shards)
         self.merge_seconds = self.clock() - merge_started
         self._m_merge_seconds.observe(self.merge_seconds)
 

@@ -26,7 +26,9 @@ from repro.core import MinHashLinkPredictor, SketchConfig
 from repro.errors import ConfigurationError, DeadLetterError, WorkerCrashError
 from repro.parallel import ShardedRunner
 from repro.parallel.worker import shard_directory
+from repro.serve import PackedSketches
 from repro.stream import FileEdgeSource, StreamRunner
+from repro.stream.checkpoint import CheckpointManager
 from repro.stream.sources import EdgeSource
 
 ARRAYS = ("vertex_ids", "values", "witnesses", "update_counts", "degrees")
@@ -163,6 +165,50 @@ class TestHaltAndResume:
         assert stats["replayed"] > 0  # the uncheckpointed suffix re-routed
         assert_bit_identical(second.predictor, arrays)
 
+    def test_resume_restores_the_guard_below_the_lowest_shard_offset(self, tmp_path):
+        # 50 distinct edges, then repeats of the first two: a resume
+        # that starts the coordinator's guard empty re-accepts them.
+        rng = random.Random(8)
+        pairs = set()
+        while len(pairs) < 50:
+            u, v = rng.sample(range(40), 2)
+            pairs.add((min(u, v), max(u, v)))
+        lines = [f"{u} {v}" for u, v in sorted(pairs, key=lambda pair: rng.random())]
+        lines[44:44] = [lines[0]]
+        lines.append(lines[1])
+        path = tmp_path / "edges.txt"
+        path.write_text("\n".join(lines) + "\n")
+        assert len(lines) == 52
+        serial = StreamRunner(FileEdgeSource(path), config=CONFIG, policies="normalize")
+        assert serial.run()["duplicate_edges_detected"] == 2
+
+        def sharded(**options):
+            return ShardedRunner(
+                FileEdgeSource(path),
+                workers=2,
+                config=CONFIG,
+                policies="normalize",
+                checkpoint_dir=str(tmp_path / "ck"),
+                checkpoint_every=5,
+                **options,
+            )
+
+        sharded().run(max_records=38)
+        committed = [
+            CheckpointManager(shard_directory(tmp_path / "ck", shard)).load_latest().offset
+            for shard in range(2)
+        ]
+        assert 2 <= min(committed) < 38  # the repeated edges lie below the resume point
+        resumed = sharded()
+        assert resumed.resume() is True
+        stats = resumed.run()
+        assert stats["duplicate_edges_detected"] == 2
+        assert stats["records_in"] == 52 - min(committed)  # the replay counts nothing
+        assert (
+            PackedSketches.from_predictor(resumed.predictor).fingerprint()
+            == PackedSketches.from_predictor(serial.predictor).fingerprint()
+        )
+
     def test_resume_with_no_checkpoints_returns_false(self, edge_file, tmp_path):
         runner = ShardedRunner(
             FileEdgeSource(edge_file),
@@ -266,6 +312,7 @@ class TestWorkerCrashRecovery:
         # RL002 sweep: the worker's unknown-message guard raises
         # WorkerCrashError (not bare RuntimeError); the in-worker
         # except still forwards it to the coordinator as a traceback.
+        import multiprocessing
         import queue
 
         from repro.parallel import shard_worker_main
@@ -273,10 +320,12 @@ class TestWorkerCrashRecovery:
         task_queue: "queue.Queue" = queue.Queue()
         result_queue: "queue.Queue" = queue.Queue()
         task_queue.put(("bogus-kind",))
+        receiver, sender = multiprocessing.Pipe(duplex=False)
         shard_worker_main(
             shard=3,
             task_queue=task_queue,
             result_queue=result_queue,
+            state_pipe=sender,
             config=CONFIG,
             checkpoint_dir="",
             checkpoint_every=0,
@@ -288,3 +337,5 @@ class TestWorkerCrashRecovery:
         assert (kind, shard) == ("error", 3)
         assert "WorkerCrashError" in forwarded
         assert "unknown worker message" in forwarded
+        assert sender.closed  # the worker always closes its state pipe
+        receiver.close()
