@@ -398,15 +398,18 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
                 f"--resume: no checkpoints found in {args.checkpoint_dir!r} "
                 "(run once without --resume to create the first generation)"
             )
-        if args.workers > 1:
-            print(f"resuming {args.workers} shards from offsets {runner.shard_offsets}")
-        else:
+        if args.workers <= 1:
             print(f"resumed from generation {runner.resumed_from} at offset {runner.offset}")
     try:
         stats = runner.run(max_records=args.max_records)
     finally:
         if reporter is not None:
             reporter.close()  # writes the final sample
+    if args.resume and args.workers > 1:
+        # Each worker restores its own shard inside run(), so the
+        # offsets are known only once they have reported in.
+        offsets = [runner.start_offsets[shard] for shard in range(args.workers)]
+        print(f"resumed {args.workers} shards from offsets {offsets}")
     rows = _ingest_stat_rows(stats)
     print(format_table(["metric", "value"], rows, title=title))
     if args.metrics_out:

@@ -42,11 +42,17 @@ would have kept.  (``reduceat`` over presorted segments is several
 times faster than ``np.minimum.at``'s unbuffered scatter on CPython,
 and needs no atomics.)
 
-The batch minima then go straight into the predictor's columnar store
-(:mod:`repro.core.predictor`): unseen vertices get rows appended, and
-all rows are gathered by fancy index, merged with a strict-``<``
-scatter-min and written back in place, so the batch matrices die with
-the call.
+The pairs are reduced in slabs of whole segments, at most
+:data:`SLAB_PAIRS` pairs each (a hub's segment longer than that is a
+slab of its own).  A segment never straddles two slabs, so each slab's
+minima and witnesses are final, and each slab goes straight into the
+predictor's columnar store (:mod:`repro.core.predictor`): unseen
+vertices get rows appended, and the slab's rows are gathered, merged
+with a strict-``<`` scatter-min and written back in place.  So one
+call holds the hashed unique keys (at most one ``k``-row per vertex),
+one slab's matrices and per-edge index arrays, never a ``(pairs, k)``
+or ``(vertices, k)`` matrix of the whole batch, and the slab's
+matrices (512 KiB each at k=64) stay in cache.
 """
 
 from __future__ import annotations
@@ -63,6 +69,11 @@ __all__ = ["coerce_edge_batch", "coerce_timestamp_batch", "apply_edge_block", "a
 #: Largest hash a real key may occupy a slot with (EMPTY_SLOT is
 #: reserved; the scalar path applies the identical remap).
 _VALUE_CAP = EMPTY_SLOT - np.uint64(1)
+
+#: Most ``(row, key)`` pairs one slab of :func:`apply_edge_block`
+#: reduces at once: ``1024 · k`` hashes, 512 KiB at k=64, so a slab's
+#: matrices stay in cache and no matrix spans the whole batch.
+SLAB_PAIRS = 1024
 
 
 def coerce_edge_batch(us, vs) -> Tuple[np.ndarray, np.ndarray]:
@@ -163,7 +174,6 @@ def apply_edge_block(predictor, us, vs) -> int:
     np.minimum(hashed, _VALUE_CAP, out=hashed)
 
     unique_targets, rows = np.unique(targets, return_inverse=True)
-    n = unique_targets.shape[0]
     key_count = unique_keys.shape[0]
 
     # Deduplicate (target, key) pairs: repeated insertions of one key
@@ -176,66 +186,64 @@ def apply_edge_block(predictor, us, vs) -> int:
     unique_codes, first_arrival = np.unique(codes, return_index=True)
     pair_rows = unique_codes // key_count
     pair_keys = unique_codes % key_count
-    pairs = unique_codes.shape[0]
-    k = bank.size
 
-    # Segments are 1:1 with rows: pair_rows is sorted and every unique
-    # target owns at least one pair, so segment i *is* row i.  Most
-    # rows of a typical batch are singletons (a vertex touched by one
-    # edge), whose "segment minimum" is just that pair's hash vector and
-    # whose witness — wherever the hash improves — is that pair's key,
-    # no tie-break required.  Routing them around the reduceat path
-    # matters: reduceat over thousands of length-1 segments is a
-    # glorified permutation paid at ufunc-machinery prices.
-    segment_starts = np.flatnonzero(np.r_[True, pair_rows[1:] != pair_rows[:-1]])
-    segment_lengths = np.diff(np.r_[segment_starts, pairs])
-    single_rows = np.flatnonzero(segment_lengths == 1)
-    multi_rows = np.flatnonzero(segment_lengths > 1)
-
-    batch_min = np.empty((n, k), dtype=np.uint64)
-    batch_witness = np.empty((n, k), dtype=np.int64) if track else None
-    if single_rows.size:
-        single_pairs = segment_starts[single_rows]
-        batch_min[single_rows] = hashed[pair_keys[single_pairs]]
-        if track:
-            batch_witness[single_rows] = unique_keys[pair_keys[single_pairs]][
-                :, np.newaxis
-            ]
-    if multi_rows.size:
-        # General path, compacted to the multi-pair rows only.
-        sub = segment_lengths[pair_rows] > 1
-        sub_rows = pair_rows[sub]
-        sub_hashes = hashed[pair_keys[sub]]  # (sub_pairs, k)
-        sub_starts = np.flatnonzero(np.r_[True, sub_rows[1:] != sub_rows[:-1]])
-        multi_min = np.minimum.reduceat(sub_hashes, sub_starts, axis=0)
-        batch_min[multi_rows] = multi_min
-        if track:
-            # Earliest arrival achieving each vertex's batch minimum:
-            # mask non-achieving pairs to position 2m, take the segment
-            # minimum of the first-arrival positions, and read the key
-            # back out.  (Every (row, slot) minimum is achieved by some
-            # pair of its segment, so the sentinel never survives.)
-            position_dtype = np.uint32 if 2 * m < (1 << 32) - 1 else np.int64
-            idx_in_multi = np.cumsum(np.r_[0, sub_rows[1:] != sub_rows[:-1]])
-            achieved = sub_hashes == multi_min[idx_in_multi]
-            positions = np.where(
-                achieved,
-                first_arrival[sub][:, np.newaxis].astype(position_dtype),
-                position_dtype(2 * m),
-            )
-            first_position = np.minimum.reduceat(positions, sub_starts, axis=0)
-            batch_witness[multi_rows] = keys[first_position.astype(np.intp)]
-
+    # Segment i (the pairs of row i) spans pairs bounds[i]:bounds[i+1];
+    # pair_rows is sorted and every unique target owns at least one pair.
+    bounds = np.flatnonzero(np.r_[True, pair_rows[1:] != pair_rows[:-1], True])
     # Arrival counts per vertex: duplicates are idempotent on the slots
     # but still bump update_count, exactly like repeated scalar updates.
-    arrivals = np.bincount(rows, minlength=n)
-
-    # Unseen vertices take their batch minima as they are; seen ones keep
-    # a pre-batch slot and witness unless the batch minimum is strictly
-    # smaller — the scalar `hashes < values` rule.
-    predictor._merge_rows(unique_targets, batch_min, batch_witness, arrivals)
+    arrivals = np.bincount(rows, minlength=len(unique_targets))
+    for lo, hi in _slabs(bounds):
+        start, stop = bounds[lo], bounds[hi]
+        # Unseen vertices take their slab minima as they are; seen ones
+        # keep a pre-batch slot and witness unless the slab minimum is
+        # strictly smaller — the scalar `hashes < values` rule.  (The
+        # minima are call arguments only, so they die with the merge.)
+        predictor._merge_rows(
+            unique_targets[lo:hi],
+            *_segment_minima(
+                hashed[pair_keys[start:stop]],
+                bounds[lo : hi + 1] - start,
+                first_arrival[start:stop] if track else None,
+                keys,
+            ),
+            arrivals[lo:hi],
+        )
     predictor._degrees.increment_block(us, vs)
     return m
+
+
+def _slabs(bounds: np.ndarray):
+    """Row ranges ``[lo, hi)`` of whole segments covering at most
+    :data:`SLAB_PAIRS` pairs each; a longer segment is a slab alone."""
+    rows = len(bounds) - 1
+    lo = 0
+    while lo < rows:
+        hi = int(np.searchsorted(bounds, bounds[lo] + SLAB_PAIRS, side="right")) - 1
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
+
+
+def _segment_minima(hashes: np.ndarray, bounds: np.ndarray, positions, keys: np.ndarray):
+    """Per-segment slot minima of ``hashes`` (one ``(pairs, k)`` slab,
+    segment i spanning rows ``bounds[i]:bounds[i+1]``), and with
+    ``positions`` (each pair's first arrival) the key of the earliest
+    arrival achieving each minimum — the witness the scalar loop keeps.
+    ``hashes`` is scratch: the witness search overwrites it."""
+    starts = bounds[:-1]
+    minima = np.minimum.reduceat(hashes, starts, axis=0)
+    if positions is None:
+        return minima, None
+    # Mask non-achieving pairs to a position past every arrival, take
+    # the segment minimum of the positions and read the key back out.
+    # (Every (row, slot) minimum is achieved by some pair of its
+    # segment, so the sentinel never survives.)
+    achieved = hashes == np.repeat(minima, np.diff(bounds), axis=0)
+    masked = hashes.view(np.int64)
+    masked.fill(len(keys))
+    np.copyto(masked, positions[:, np.newaxis], where=achieved)
+    return minima, keys[np.minimum.reduceat(masked, starts, axis=0)]
 
 
 def apply_dynamic_block(predictor, us, vs, timestamps=None, op: str = "add") -> int:

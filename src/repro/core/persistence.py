@@ -32,6 +32,14 @@ and the hash seed; loading a checkpoint into an incompatible library
 version or configuration fails loudly instead of silently mixing hash
 spaces.
 
+The archive is streamed, not built in memory: members go out one at a
+time in name order (``guard_sha256`` and ``sha256`` last), the slot
+matrices gathered from the live store in sorted-row chunks of
+:data:`~repro.core.predictor.ROW_CHUNK` rows, each chunk feeding the
+checksum as it is written.  A save holds one chunk buffer and a few
+per-vertex columns, never a sorted copy of the store; the members and
+checksums are byte-for-byte what ``np.savez`` of the same fields gives.
+
 Writes to a filesystem path are **atomic**: the archive is written to a
 temporary sibling file, flushed and fsynced, then moved over the target
 with ``os.replace``.  A crash mid-write therefore never destroys the
@@ -59,7 +67,7 @@ import numpy as np
 
 from repro.core.config import SketchConfig
 from repro.core.dynamic import DynamicArrays, DynamicMinHashPredictor
-from repro.core.predictor import MinHashLinkPredictor, SketchArrays
+from repro.core.predictor import ROW_CHUNK, MinHashLinkPredictor, SketchArrays
 from repro.errors import CheckpointCorruptError, ConfigurationError, ReproError, SketchStateError
 from repro.obs.registry import MetricsRegistry
 
@@ -105,36 +113,92 @@ def _payload_checksum(fields: Mapping[str, np.ndarray], guard: bool = False) -> 
 
     Field name, dtype, shape and raw bytes all feed the digest, so a
     renamed, retyped, reshaped or bit-flipped array is all caught.
+    :func:`_write_archive` computes the same digest as it writes.
     """
     digest = hashlib.sha256()
     for name in sorted(fields):
         if name in ("sha256", _GUARD_CHECKSUM) or name.startswith(_GUARD_PREFIX) != guard:
             continue
-        array = np.asarray(fields[name])
-        digest.update(name.encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(str(array.dtype).encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(repr(array.shape).encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(memoryview(np.ascontiguousarray(array)))
+        dtype, shape, chunks = _member(fields[name])
+        _digest_header(digest, name, dtype, shape)
+        for chunk in chunks:
+            digest.update(memoryview(chunk))
     return digest.hexdigest()
 
 
-def _savez_atomic(path_or_file: Union[PathLike, IO[bytes]], fields: Dict[str, np.ndarray]) -> None:
-    """Write ``fields`` as a stored archive, atomically for paths."""
+def _digest_header(digest, name: str, dtype: np.dtype, shape: tuple) -> None:
+    for part in (name, str(dtype), repr(shape)):
+        digest.update(part.encode("utf-8"))
+        digest.update(b"\x00")
+
+
+class _SortedRows(NamedTuple):
+    """A store matrix as an archive member: its rows in ``order``,
+    gathered :data:`~repro.core.predictor.ROW_CHUNK` rows at a time into
+    one reused buffer, so no sorted copy of the matrix is ever made."""
+
+    column: np.ndarray
+    order: np.ndarray
+
+    def chunks(self):
+        buffer = np.empty((min(ROW_CHUNK, len(self.order)),) + self.column.shape[1:], self.column.dtype)
+        for start in range(0, len(self.order), ROW_CHUNK):
+            rows = self.order[start : start + ROW_CHUNK]
+            # mode="clip" (the rows are all in range) keeps np.take from
+            # buffering the output.
+            yield np.take(self.column, rows, axis=0, out=buffer[: len(rows)], mode="clip")
+
+
+def _member(value) -> tuple:
+    """``(dtype, shape, chunks)`` of one field: its C-order bytes are
+    the concatenation of the chunks."""
+    if isinstance(value, _SortedRows):
+        return value.column.dtype, (len(value.order),) + value.column.shape[1:], value.chunks()
+    array = np.asarray(value)
+    return array.dtype, array.shape, (np.ascontiguousarray(array),)
+
+
+def _write_archive(handle: IO[bytes], fields: Mapping[str, object]) -> None:
+    """Write ``fields`` as the stored archive ``np.savez`` would, one
+    member at a time in name order, hashing each chunk as it is written;
+    ``guard_sha256`` (when there are guard fields) and ``sha256`` go
+    last.  ``np.load`` reads the result like any ``.npz``."""
+    digests = {False: hashlib.sha256(), True: hashlib.sha256()}
+    with zipfile.ZipFile(handle, mode="w", compression=zipfile.ZIP_STORED, allowZip64=True) as archive:
+
+        def write(name: str, value) -> None:
+            dtype, shape, chunks = _member(value)
+            digest = digests[name.startswith(_GUARD_PREFIX)]
+            _digest_header(digest, name, dtype, shape)
+            header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": shape}
+            with archive.open(name + ".npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(member, header)
+                for chunk in chunks:
+                    view = memoryview(chunk)
+                    member.write(view)
+                    digest.update(view)
+
+        for name in sorted(fields):
+            write(name, fields[name])
+        if any(name.startswith(_GUARD_PREFIX) for name in fields):
+            write(_GUARD_CHECKSUM, np.frombuffer(digests[True].digest(), dtype=np.uint8))
+        write("sha256", np.frombuffer(digests[False].digest(), dtype=np.uint8))
+
+
+def _write_atomic(path_or_file: Union[PathLike, IO[bytes]], fields: Mapping[str, object]) -> None:
+    """:func:`_write_archive`, atomically for paths."""
     if hasattr(path_or_file, "write"):
-        np.savez(path_or_file, **fields)
+        _write_archive(path_or_file, fields)
         return
     path = Path(path_or_file)
     # np.savez appends ".npz" to suffixless *paths*, but not to open file
-    # objects — mirror that quirk so atomic writes land on the same name.
+    # objects — keep that quirk so atomic writes land on the same name.
     if path.suffix != ".npz":
         path = path.with_name(path.name + ".npz")
     tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
     try:
         with open(tmp, "wb") as handle:
-            np.savez(handle, **fields)
+            _write_archive(handle, fields)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -202,32 +266,30 @@ def save_predictor(
             "op_counts": dynamic.op_counts,
         }
     else:
-        exported = predictor.export_arrays()
-        saved_rows = len(exported.vertex_ids)
+        # The rows in export_arrays() order (sorted ids), streamed from
+        # the store: the (n, k) members are gathered chunk by chunk.
+        stored = predictor._stored_arrays()
+        order = np.argsort(stored.vertex_ids)
+        saved_rows = len(order)
         fields = {
             "format_version": np.int64(FORMAT_VERSION),
             "k": np.int64(predictor.config.k),
             "seed": np.uint64(predictor.config.seed),
             "track_witnesses": np.bool_(track),
-            "vertex_ids": exported.vertex_ids,
-            "values": exported.values,
+            "vertex_ids": stored.vertex_ids[order],
+            "values": _SortedRows(stored.values, order),
             "witnesses": (
-                exported.witnesses if track else np.empty((0, 0), dtype=np.int64)
+                _SortedRows(stored.witnesses, order) if track else np.empty((0, 0), dtype=np.int64)
             ),
-            "update_counts": exported.update_counts,
-            "degrees": exported.degrees,
+            "update_counts": stored.update_counts[order],
+            "degrees": stored.degrees[order],
         }
     for key, value in (metadata or {}).items():
         fields[_META_PREFIX + key] = np.int64(value)
-    fields["sha256"] = np.frombuffer(bytes.fromhex(_payload_checksum(fields)), dtype=np.uint8)
-    if guard is not None:
-        for key, value in guard.items():
-            fields[_GUARD_PREFIX + key] = np.asarray(value)
-        fields[_GUARD_CHECKSUM] = np.frombuffer(
-            bytes.fromhex(_payload_checksum(fields, guard=True)), dtype=np.uint8
-        )
+    for key, value in (guard or {}).items():
+        fields[_GUARD_PREFIX + key] = np.asarray(value)
     before = _position_of(path)
-    _savez_atomic(path, fields)
+    _write_atomic(path, fields)
     if metrics is not None and metrics.enabled:
         metrics.histogram(
             "persist_save_seconds", "Wall seconds per checkpoint save"

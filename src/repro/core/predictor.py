@@ -62,7 +62,12 @@ from repro.interface import LinkPredictor
 from repro.sketches.minhash import EMPTY_SLOT, NO_WITNESS, KMinHash
 
 __all__ = ["MinHashLinkPredictor", "PairEstimate", "SketchArrays", "fold_sketch_arrays",
-           "mergeable_config", "merge_shards"]
+           "mergeable_config", "merge_shards", "ROW_CHUNK"]
+
+#: Rows per chunk wherever whole store matrices move (a shard's state
+#: over its pipe, a checkpoint's sketch members): ``1024 · 8k`` bytes
+#: per matrix, 512 KiB at k=64.
+ROW_CHUNK = 1024
 
 
 class SketchArrays(NamedTuple):
@@ -185,18 +190,17 @@ class MinHashLinkPredictor(LinkPredictor):
         unseen = np.flatnonzero(rows < 0)
         if unseen.size:
             rows[unseen] = self._append(vertices[unseen].tolist())
-        old_values = self._values[rows]
-        improved = values < old_values
-        changed = np.flatnonzero(improved.any(axis=1))
-        if changed.size:
-            improved, target = improved[changed], rows[changed]
-            block = old_values[changed]
-            np.copyto(block, values[changed], where=improved)
-            self._values[target] = block
-            if witnesses is not None:
-                block = self._witnesses[target]
-                np.copyto(block, witnesses[changed], where=improved)
-                self._witnesses[target] = block
+        # One gathered block per column plus the mask: every row is
+        # written back, unchanged ones with the values they held.
+        block = self._values[rows]
+        improved = values < block
+        np.copyto(block, values, where=improved)
+        self._values[rows] = block
+        del block
+        if witnesses is not None and improved.any():
+            block = self._witnesses[rows]
+            np.copyto(block, witnesses, where=improved)
+            self._witnesses[rows] = block
         self._counts[rows] += counts
 
     def _stored_arrays(self) -> SketchArrays:
@@ -267,8 +271,9 @@ class MinHashLinkPredictor(LinkPredictor):
         the sequential loop exactly (the property the hypothesis suite
         pins) — but hashes the entire batch in one
         :meth:`~repro.hashing.HashBank.values_block` pass and applies
-        scatter-min updates to packed per-vertex matrices, which is
-        ~10x the scalar path at realistic batch sizes (bench E4).
+        scatter-min updates slab by slab (:mod:`repro.core.block`),
+        which is ~10x the scalar path at realistic batch sizes (bench
+        E4).
 
         The whole batch validates up front: any self-loop or negative
         id raises :class:`~repro.errors.ConfigurationError` *before*

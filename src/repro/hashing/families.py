@@ -86,6 +86,10 @@ def seed_sequence(seed: int, count: int) -> list[int]:
     return [splitmix64(base + i * GOLDEN_GAMMA) for i in range(count)]
 
 
+#: Keys per chunk of :meth:`HashBank.values_block`.
+_BLOCK_ROWS = 1024
+
+
 def _splitmix64_array(x: np.ndarray) -> np.ndarray:
     """Vectorized SplitMix64 finalizer over a uint64 array (wrapping)."""
     x = x + _GAMMA
@@ -351,7 +355,13 @@ class HashBank(object):
             raise ConfigurationError(
                 f"values_block expects a 1-d key array, got shape {keys.shape}"
             )
-        return _splitmix64_array(keys[:, np.newaxis] ^ self._mixed_seeds)
+        # Row chunks: the finalizer's temporaries are chunk-sized, not
+        # batch-sized, so the result is the call's only large array.
+        hashed = np.empty((len(keys), self.size), dtype=np.uint64)
+        for start in range(0, len(keys), _BLOCK_ROWS):
+            chunk = keys[start : start + _BLOCK_ROWS, np.newaxis]
+            hashed[start : start + len(chunk)] = _splitmix64_array(chunk ^ self._mixed_seeds)
+        return hashed
 
     def units(self, key: int) -> np.ndarray:
         """Return the ``k`` hashes mapped into ``[0, 1)`` as float64.

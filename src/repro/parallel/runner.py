@@ -183,6 +183,10 @@ class ShardedRunner:
         self._resume_requested = False
         self._ran = False
         self.shard_offsets: List[int] = [0] * workers
+        #: Global offset each shard worker started from (its newest
+        #: intact checkpoint's on a resume), by shard, as run() hears
+        #: from the workers.
+        self.start_offsets: Dict[int, int] = {}
         self.shard_records: List[int] = [0] * workers
         self.resumed_generations: List[Optional[int]] = [None] * workers
         self.merge_seconds = 0.0
@@ -289,7 +293,6 @@ class ShardedRunner:
         ]
         self._result_queue = context.Queue()
         self._done: Dict[int, dict] = {}
-        self._ready: Dict[int, int] = {}
         self.processes = []
         self._state_pipes = []
         for shard in range(self.workers):
@@ -319,7 +322,7 @@ class ShardedRunner:
             self._state_pipes.append(receiver)
         consumed = 0
         try:
-            self._collect(self._ready)
+            self._collect(self.start_offsets)
             start_offset = min(self.shard_offsets)
             self.offset = start_offset
             self._buffers: List[List[AcceptedBlock]] = [[] for _ in range(self.workers)]
@@ -434,8 +437,7 @@ class ShardedRunner:
     def _dispatch(self, message) -> None:
         kind, shard = message[0], message[1]
         if kind == "ready":
-            self._ready[shard] = message[2]
-            self.shard_offsets[shard] = message[2]
+            self.start_offsets[shard] = self.shard_offsets[shard] = message[2]
             self.resumed_generations[shard] = message[3]
         elif kind == "done":
             payload = self._done[shard] = message[2]

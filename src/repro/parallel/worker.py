@@ -54,7 +54,7 @@ import numpy as np
 from repro.core.config import SketchConfig
 from repro.core.dynamic import DynamicArrays, DynamicMinHashPredictor
 from repro.errors import WorkerCrashError
-from repro.core.predictor import MinHashLinkPredictor
+from repro.core.predictor import ROW_CHUNK, MinHashLinkPredictor
 from repro.stream.admission import SpanFolder
 from repro.stream.checkpoint import CheckpointManager
 
@@ -66,8 +66,6 @@ __all__ = [
     "chunk_buffers",
 ]
 
-#: Rows per ``values``/``witnesses`` message of an append shard's state.
-ROW_CHUNK = 1024
 #: Element types of a dynamic shard's messages: the
 #: :class:`~repro.core.dynamic.DynamicArrays` columns, then the
 #: high-water time as a one-element array.

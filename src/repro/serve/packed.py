@@ -231,9 +231,9 @@ class PackedSketches(object):
         """
         digest = hashlib.sha256()
         for array in (self.vertex_ids, self.values, self.degrees, self.update_counts):
-            digest.update(np.ascontiguousarray(array).tobytes())
+            digest.update(memoryview(np.ascontiguousarray(array)))
         if self.witnesses is not None:
-            digest.update(np.ascontiguousarray(self.witnesses).tobytes())
+            digest.update(memoryview(np.ascontiguousarray(self.witnesses)))
         return digest.hexdigest()
 
     def to_predictor(self) -> MinHashLinkPredictor:

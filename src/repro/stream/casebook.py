@@ -35,6 +35,8 @@ import hashlib
 import random
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.core.config import SketchConfig
 from repro.errors import ConfigurationError
 from repro.stream.admission import SpanFolder
@@ -536,7 +538,7 @@ def sketch_fingerprint(predictor) -> str:
             digest.update(b"<none>")
         else:
             digest.update(str(array.shape).encode())
-            digest.update(array.tobytes())
+            digest.update(memoryview(np.ascontiguousarray(array)))
     return digest.hexdigest()
 
 

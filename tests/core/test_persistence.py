@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
+import zipfile
+
 import numpy as np
 import pytest
 
 from repro.core import MinHashLinkPredictor, SketchConfig
+from repro.core.predictor import ROW_CHUNK
 from repro.core.persistence import (
     FORMAT_VERSION,
     load_predictor,
@@ -230,6 +235,107 @@ class TestIntegrity:
     def test_missing_file_is_not_corrupt(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_predictor(tmp_path / "never-written.npz")
+
+
+def _tobytes_checksum(fields, guard):
+    """The checkpoint checksum formula, spelled out over ``tobytes()``
+    copies: the predictor fields, or with ``guard`` the guard fields."""
+    digest = hashlib.sha256()
+    for name in sorted(fields):
+        if name in ("sha256", "guard_sha256") or name.startswith("guard_") != guard:
+            continue
+        array = np.asarray(fields[name])
+        digest.update(name.encode("utf-8") + b"\x00")
+        digest.update(str(array.dtype).encode("utf-8") + b"\x00")
+        digest.update(repr(array.shape).encode("utf-8") + b"\x00")
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.digest()
+
+
+#: Guard fields as ``StreamGuard.state_arrays`` hands them over; the
+#: reversed view is not contiguous.
+GUARD = {"keys": np.arange(7, dtype=np.uint64)[::-1], "high_water": np.float64(9.5)}
+
+
+class TestStreamedWriter:
+    """``save_predictor`` writes the archive member by member, gathers
+    the sketch matrices from the store in ``ROW_CHUNK``-row chunks and
+    hashes as it writes; the result reads as ``np.savez`` wrote it."""
+
+    @staticmethod
+    def _predictor(track=True, k=8, vertices=2 * ROW_CHUNK + 300, edges=6000):
+        predictor = MinHashLinkPredictor(SketchConfig(k=k, seed=6, track_witnesses=track))
+        pairs = np.array([(e.u, e.v) for e in erdos_renyi(vertices, edges, seed=3)])
+        predictor.update_block(pairs[:, 0], pairs[:, 1])  # rows in arrival order, not id order
+        return predictor
+
+    @pytest.mark.parametrize("track", [True, False])
+    def test_same_members_and_checksums_as_np_savez(self, tmp_path, track):
+        predictor = self._predictor(track)
+        path = checkpoint_path(tmp_path)
+        save_predictor(predictor, path, metadata={"stream_offset": 11}, guard=GUARD)
+        fields = read_fields(path)
+        for name, array in predictor.export_arrays()._asdict().items():
+            expected = np.empty((0, 0), dtype=np.int64) if array is None else array
+            assert fields[name].dtype == expected.dtype and np.array_equal(fields[name], expected)
+        assert np.array_equal(fields["guard_keys"], GUARD["keys"])
+        assert bytes(fields["sha256"]) == _tobytes_checksum(fields, guard=False)
+        assert bytes(fields["guard_sha256"]) == _tobytes_checksum(fields, guard=True)
+
+        reference = tmp_path / "reference.npz"
+        np.savez(reference, **fields)
+        with zipfile.ZipFile(path) as ours, zipfile.ZipFile(reference) as theirs:
+            names = ours.namelist()
+            assert sorted(names) == sorted(theirs.namelist())
+            for name in names:
+                assert ours.read(name) == theirs.read(name), name
+        assert names[-2:] == ["guard_sha256.npy", "sha256.npy"]
+        assert names[:-2] == sorted(names[:-2])
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_archives_of_the_earlier_writer_still_load(self, tmp_path, writer):
+        """The fields, in the order the ``np.savez`` writer laid them
+        out, stored or deflated, guard included."""
+        predictor = self._predictor()
+        exported = predictor.export_arrays()
+        fields = {
+            "format_version": np.int64(FORMAT_VERSION),
+            "k": np.int64(8),
+            "seed": np.uint64(6),
+            "track_witnesses": np.bool_(True),
+            **exported._asdict(),
+            "meta_stream_offset": np.int64(11),
+        }
+        fields["sha256"] = np.frombuffer(_tobytes_checksum(fields, guard=False), dtype=np.uint8)
+        fields.update({"guard_" + key: value for key, value in GUARD.items()})
+        fields["guard_sha256"] = np.frombuffer(_tobytes_checksum(fields, guard=True), dtype=np.uint8)
+        path = checkpoint_path(tmp_path)
+        WRITERS[writer](path, **fields)
+
+        checkpoint = read_checkpoint(path, guard=True)
+        assert checkpoint.metadata == {"stream_offset": 11}
+        assert np.array_equal(checkpoint.guard["keys"], GUARD["keys"])
+        restored = checkpoint.to_predictor().export_arrays()
+        for name, array in exported._asdict().items():
+            assert np.array_equal(getattr(restored, name), array), name
+
+    def test_a_save_holds_about_one_chunk(self, tmp_path):
+        """The sorted ``export_arrays()`` copy plus ``np.savez``'s
+        ``tobytes()`` of each member held ~1.5x the store; the streamed
+        writer holds one chunk buffer and a few per-vertex columns."""
+        k = 64
+        predictor = self._predictor(k=k, vertices=6000, edges=30000)
+        path = checkpoint_path(tmp_path)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            save_predictor(predictor, path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        n = predictor.vertex_count
+        assert n * (16 * k + 8) > 6_000_000  # the store this bounds against
+        assert peak <= 2 * ROW_CHUNK * k * 8 + 6 * 8 * n
 
 
 class TestValidation:

@@ -129,3 +129,36 @@ class TestRetainedMemory:
         n = predictor.vertex_count
         assert n == 3200
         assert held <= 2.5 * n * (16 * k + 8)
+
+
+class TestTransientMemory:
+    def test_one_block_call_holds_the_hashed_keys_and_one_slab(self):
+        """One ``update_block`` call's scratch is the hashed unique keys
+        (at most one ``k``-row per vertex), one slab of the pair walk and
+        per-edge index arrays; no matrix spans the batch's ``(row, key)``
+        pairs.  Growing the batch 4x over the same vertices therefore
+        adds only index arrays (~140 bytes per edge here; the batch-wide
+        matrices took ~2.2 KB per edge at k=64)."""
+        k, vertices = 64, 3000
+        rng = np.random.default_rng(7)
+
+        def scratch(edges):
+            predictor = MinHashLinkPredictor(SketchConfig(k=k, seed=1))
+            ring = np.arange(vertices)
+            predictor.update_block(ring, (ring + 1) % vertices)  # every row and degree exists
+            us = rng.integers(0, vertices, 2 * edges)
+            vs = rng.integers(0, vertices, 2 * edges)
+            keep = us != vs
+            us, vs = us[keep][:edges], vs[keep][:edges]
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                predictor.update_block(us, vs)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        small, large = scratch(4096), scratch(16384)
+        slab = repro.core.block.SLAB_PAIRS * k * 8
+        assert small <= vertices * k * 8 + 4 * slab + 4096 * 256
+        assert large - small <= (16384 - 4096) * 256

@@ -10,6 +10,8 @@ import pytest
 from repro.cli import build_parser, main
 from repro.graph import Edge, write_edge_list
 from repro.graph.generators import erdos_renyi
+from repro.parallel.worker import shard_directory
+from repro.stream import CheckpointManager
 
 
 def write_stream(path, n_vertices=30, n_edges=80, seed=3):
@@ -85,6 +87,21 @@ class TestIngest:
         assert code == 0
         out = capsys.readouterr().out
         assert "resumed from generation" in out
+
+    def test_sharded_resume_prints_the_offsets_the_shards_resumed_from(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        write_stream(path, n_edges=80)
+        ckpt = tmp_path / "ckpt"
+        flags = ["--k", "16", "--workers", "2", "--checkpoint-dir", str(ckpt), "--checkpoint-every", "10"]
+        assert main(["ingest", str(path), *flags, "--max-records", "45"]) == 0
+        capsys.readouterr()
+        expected = [
+            CheckpointManager(shard_directory(ckpt, shard)).load_latest().offset
+            for shard in range(2)
+        ]
+        assert min(expected) > 0
+        assert main(["ingest", str(path), *flags, "--resume"]) == 0
+        assert f"resumed 2 shards from offsets {expected}" in capsys.readouterr().out.splitlines()
 
     def test_resume_without_dir_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "g.txt"

@@ -11,10 +11,14 @@ subtle: duplicate edges inside one batch (idempotent slots, counted
 arrivals), hash ties at tiny ``k`` over tiny key universes (the
 earliest-arrival witness rule), batches straddling seen and unseen
 vertices, pre-seeded predictors (equal batch minima must *not* steal
-the pre-batch witness), empty batches, and both degree modes.
+the pre-batch witness), empty batches, both degree modes, and any slab
+size (hub segments longer than a slab, slabs ending on a segment
+boundary).
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import MinHashLinkPredictor, SketchConfig
+from repro.core import block as block_module
 from repro.errors import ConfigurationError
 from repro.hashing import HashBank
 
@@ -163,3 +168,56 @@ class TestValuesBlock:
     def test_rejects_non_1d(self):
         with pytest.raises(ConfigurationError):
             HashBank(0, 2).values_block(np.zeros((2, 2), dtype=np.uint64))
+
+
+# A hub (vertex 0) with many spokes beside the small random batch: its
+# segment of (row, key) pairs runs past any small slab.
+hub_batches = st.tuples(
+    edge_batches,
+    st.lists(st.integers(1, 40), max_size=40),
+).map(lambda parts: parts[0] + [(0, spoke) for spoke in parts[1]])
+
+
+class TestSlabbing:
+    """The kernel reduces its pairs slab by slab; the slab size must not
+    show in the result.  Shrinking ``SLAB_PAIRS`` puts hub segments
+    longer than a slab and slab ends on segment boundaries into every
+    example."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(edge_batches, hub_batches, st.sampled_from([1, 2, 3, 5, 8, 64]), st.booleans())
+    def test_any_slab_size_equals_the_scalar_loop(self, prefix, batch, slab, track):
+        config = SketchConfig(k=3, seed=9, track_witnesses=track)
+        with mock.patch.object(block_module, "SLAB_PAIRS", slab):
+            scalar, block = _pair(config, prefix, batch)
+        assert _state(scalar) == _state(block)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=30), st.integers(1, 16))
+    def test_slabs_are_whole_segments_packed_greedily(self, lengths, slab):
+        bounds = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
+        with mock.patch.object(block_module, "SLAB_PAIRS", slab):
+            slabs = list(block_module._slabs(bounds))
+        assert [lo for lo, _ in slabs] == [0] + [hi for _, hi in slabs[:-1]]
+        assert slabs[-1][1] == len(lengths)
+        for lo, hi in slabs:
+            pairs = bounds[hi] - bounds[lo]
+            assert pairs <= slab or hi == lo + 1  # a long segment is a slab alone
+            if hi < len(lengths):
+                assert bounds[hi + 1] - bounds[lo] > slab  # the next segment did not fit
+
+    @pytest.mark.parametrize("track", [True, False])
+    def test_real_slab_size_with_a_hub_and_an_exact_boundary(self, track):
+        """At the shipped ``SLAB_PAIRS`` (1024): vertex 0's 1000 spokes
+        plus vertex 1's 24 fill the first slab exactly, and vertex 2's
+        2500 spokes make a segment longer than two slabs."""
+        assert block_module.SLAB_PAIRS == 1024
+        batch = [(0, 10 + i) for i in range(1000)]
+        batch += [(1, 10 + i) for i in range(24)]
+        batch += [(2, 5000 + i) for i in range(2500)]
+        batch += [(10 + i, 11 + i) for i in range(300)]
+        order = np.random.default_rng(3).permutation(len(batch))
+        batch = [batch[i] for i in order]
+        config = SketchConfig(k=8, seed=4, track_witnesses=track)
+        scalar, block = _pair(config, [(0, 1), (3, 10)], batch)
+        assert _state(scalar) == _state(block)

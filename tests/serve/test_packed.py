@@ -128,3 +128,32 @@ class TestExportApi:
             KMinHash.from_arrays(
                 bank, np.zeros(8, dtype=np.uint64), np.zeros(5, dtype=np.int64)
             )
+
+
+class TestFingerprintDigests:
+    """Both sketch fingerprints hash array buffers in place; the digests
+    must stay the ones the earlier ``tobytes()`` copies gave, which the
+    perfbench reference fingerprints and served generations rest on."""
+
+    PINNED = {
+        # track_witnesses: (PackedSketches.fingerprint, casebook.sketch_fingerprint)
+        True: (
+            "4ba964bbc421be8f0cfb338454129838b4131a71d30928710473a4208118bf7e",
+            "a9fdebe2ed7431b540e5fb4168e7a1b97687b9ba3f0643fe3ff5cd795e241f0f",
+        ),
+        False: (
+            "3d94f88dce0d3c1dbe7817cf6f7c94fe1fd9580ea6a14a5d0207383c874365d5",
+            "4a6993a407503379efa136d1dd90d76210a7c458a96c96d09908abc5965fd8e0",
+        ),
+    }
+
+    @pytest.mark.parametrize("track", [True, False])
+    def test_digests_are_pinned(self, track):
+        from repro.graph.generators import barabasi_albert
+        from repro.stream.casebook import sketch_fingerprint
+
+        predictor = MinHashLinkPredictor(SketchConfig(k=16, seed=5, track_witnesses=track))
+        for edge in barabasi_albert(300, 3, seed=11):
+            predictor.update(edge.u, edge.v)
+        packed = PackedSketches.from_predictor(predictor)
+        assert (packed.fingerprint(), sketch_fingerprint(predictor)) == self.PINNED[track]

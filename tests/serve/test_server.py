@@ -415,15 +415,28 @@ class TestPublicationContract:
                     if known != fingerprint:
                         problems.append(f"number {number} has two fingerprints")
 
+            def await_recorded(number):
+                # A reader starved of the GIL could otherwise miss a
+                # generation outright; wait (bounded) until one of them
+                # has seen it before publishing the next.
+                deadline = time.monotonic() + 10
+                while time.monotonic() < deadline:
+                    with ledger_lock:
+                        if number in ledger:
+                            return
+                    time.sleep(0.001)
+
             readers = [threading.Thread(target=reader, daemon=True) for _ in range(4)]
             for thread in readers:
                 thread.start()
+            await_recorded(server.generation.number)
             rng = np.random.default_rng(5)
             for _ in range(6):
                 for u, v in rng.integers(0, 50, size=(30, 2)).tolist():
                     if u != v:
                         predictor.update(u, v)
                 server.refresh()
+                await_recorded(server.generation.number)
                 time.sleep(0.01)
             stop.set()
             for thread in readers:
