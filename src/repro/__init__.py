@@ -33,6 +33,13 @@ the facade composes them and ``repro.api.__all__`` is the documented
 stable surface.
 """
 
+# The facade function ``serve`` shares its name with the subpackage, and
+# a submodule is bound on its parent when it first loads.  So the (lazy,
+# cheap) subpackage loads here, before the function is bound: a later
+# ``import repro.serve.engine`` finds it loaded and leaves ``repro.serve``
+# the function.
+import repro.serve as _serve_subpackage  # noqa: F401
+from repro._lazy import lazy_exports
 from repro.api import (
     IngestReport,
     StreamRecord,
@@ -42,17 +49,20 @@ from repro.api import (
     open_engine,
     serve,
 )
-from repro.core import (
-    BiasedMinHashLinkPredictor,
-    DynamicMinHashPredictor,
-    MinHashLinkPredictor,
-    PairEstimate,
-    SketchConfig,
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.biased": ["BiasedMinHashLinkPredictor"],
+        "repro.core.config": ["SketchConfig"],
+        "repro.core.dynamic": ["DynamicMinHashPredictor"],
+        "repro.core.predictor": ["MinHashLinkPredictor", "PairEstimate"],
+        "repro.errors": ["ReproError"],
+        "repro.exact.oracle": ["ExactOracle"],
+        "repro.interface": ["LinkPredictor"],
+        "repro.serve.engine": ["QueryEngine"],
+    },
 )
-from repro.errors import ReproError
-from repro.exact import ExactOracle
-from repro.interface import LinkPredictor
-from repro.serve import QueryEngine
 
 __version__ = "1.1.0"
 

@@ -26,8 +26,9 @@ RL004     **concurrency boundary** — in modules mixing threads and
           boundary must be in the module's declared single-assignment
           publication set (the immutable-Generation pattern).
 RL005     **API surface** — ``repro.api.__all__`` exactly matches its
-          public defs, and examples / docstring snippets import
-          facade names through the facade.
+          public defs, every lazy-export table entry's module binds
+          the name, and examples / docstring snippets import facade
+          names through the facade.
 ========  ===========================================================
 
 Usage::

@@ -13,7 +13,8 @@ rule id       invariant
               one kind across the tree, label sets are literal
 ``RL004``     attributes written on both sides of a thread/asyncio
               boundary are declared in the module's publication set
-``RL005``     ``repro.api.__all__`` matches its public defs; examples
+``RL005``     ``repro.api.__all__`` matches its public defs; lazy
+              export tables name modules that bind each name; examples
               and docstring snippets import facade names from the
               facade
 ============  =======================================================

@@ -13,13 +13,19 @@ quietly erode the contract:
   copy-paste propagates the deep spelling, and the facade stops being
   load-bearing.
 
-RL005 therefore checks three things:
+RL005 therefore checks four things:
 
 1. in ``repro/api.py``: the ``__all__`` literal is exactly the set of
    public top-level ``def``/``class`` names;
 2. in any module with a literal ``__all__``: every entry is actually
-   bound at module top level (def, class, assignment, or import);
-3. in ``examples/`` and in ``>>>`` docstring snippets anywhere: a name
+   bound at module top level (def, class, assignment, or import) or
+   listed in the module's lazy-export table;
+3. in a package that exports lazily (``__getattr__, __dir__ =
+   lazy_exports(__name__, {module: [names]})``, see
+   :mod:`repro._lazy`): the table is a literal, and each entry's module
+   exists and binds the name at its top level — a typo fails lint
+   rather than the first attribute access;
+4. in ``examples/`` and in ``>>>`` docstring snippets anywhere: a name
    exported by the facade is imported *from* the facade (``repro`` or
    ``repro.api``), never from a deep module; underscore-private names
    are never imported in examples at all.
@@ -33,15 +39,22 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set
+from pathlib import Path
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.engine import Finding, ModuleContext
-from repro.analysis.rules.base import Rule
+from repro.analysis.rules.base import Rule, call_name, literal_strings
 
 __all__ = ["ApiSurfaceRule", "FACADE_MODULES"]
 
 #: Modules whose exports *are* the supported surface.
 FACADE_MODULES = ("repro", "repro.api")
+
+#: The helper whose call binds a package's lazy ``__getattr__``/``__dir__``.
+LAZY_EXPORTS_CALL = "lazy_exports"
+
+#: A lazy table flattened: exported name → (module, the node naming it).
+LazyTable = Dict[str, Tuple[str, ast.AST]]
 
 _SNIPPET_IMPORT_RE = re.compile(
     r">>>\s+from\s+(repro(?:\.[A-Za-z0-9_.]+)?)\s+import\s+([A-Za-z0-9_,\s]+)"
@@ -61,6 +74,10 @@ class ApiSurfaceRule(Rule):
         self._facade_names: Optional[FrozenSet[str]] = (
             None if facade_names is None else frozenset(facade_names)
         )
+        self._parsed: Dict[Path, Optional[ast.Module]] = {}
+
+    def reset(self) -> None:
+        self._parsed = {}
 
     @property
     def facade_names(self) -> FrozenSet[str]:
@@ -80,10 +97,13 @@ class ApiSurfaceRule(Rule):
     def check_module(self, ctx: ModuleContext) -> Iterable[Finding]:
         findings: List[Finding] = []
         exported = self._all_literal(ctx.tree)
+        lazy, lazy_findings = self._lazy_table(ctx)
+        findings.extend(lazy_findings)
         if ctx.package_rel == "api.py":
             findings.extend(self._check_facade_module(ctx, exported))
         if exported is not None:
-            findings.extend(self._check_all_resolves(ctx, exported))
+            findings.extend(self._check_all_resolves(ctx, exported, lazy))
+        findings.extend(self._check_lazy_targets(ctx, lazy))
         if ctx.is_example:
             findings.extend(self._check_example_imports(ctx))
         findings.extend(self._check_docstring_snippets(ctx))
@@ -144,7 +164,7 @@ class ApiSurfaceRule(Rule):
         return findings
 
     def _check_all_resolves(
-        self, ctx: ModuleContext, exported: ast.Assign
+        self, ctx: ModuleContext, exported: ast.Assign, lazy: LazyTable
     ) -> Iterable[Finding]:
         findings: List[Finding] = []
         for element in exported.value.elts:  # type: ignore[union-attr]
@@ -156,6 +176,8 @@ class ApiSurfaceRule(Rule):
                     )
                 )
                 continue
+            if element.value in lazy:
+                continue
             if not self._bound_at_top_level(ctx.tree, element.value):
                 findings.append(
                     ctx.finding(
@@ -165,6 +187,98 @@ class ApiSurfaceRule(Rule):
                     )
                 )
         return findings
+
+    # -- lazy exports ---------------------------------------------------
+
+    def _lazy_table(self, ctx: ModuleContext) -> Tuple[LazyTable, List[Finding]]:
+        """The module's lazy-export table, and a finding for each table
+        the rule cannot read statically."""
+        table: LazyTable = {}
+        findings: List[Finding] = []
+        for call in self._lazy_calls(ctx.tree):
+            entries = self._literal_entries(call)
+            if entries is None:
+                findings.append(
+                    ctx.finding(
+                        call, self.rule_id,
+                        f"{LAZY_EXPORTS_CALL}() needs a literal {{module: [names]}} "
+                        f"dict as its second argument",
+                    )
+                )
+            else:
+                table.update(entries)
+        return table, findings
+
+    @staticmethod
+    def _literal_entries(call: ast.Call) -> Optional[LazyTable]:
+        mapping = call.args[1] if len(call.args) > 1 else None
+        if not isinstance(mapping, ast.Dict):
+            return None
+        entries: LazyTable = {}
+        for key, value in zip(mapping.keys, mapping.values):
+            names = literal_strings(value)
+            if not isinstance(key, ast.Constant) or not isinstance(key.value, str) \
+                    or names is None:
+                return None
+            entries.update((name, (key.value, value)) for name in names)
+        return entries
+
+    @staticmethod
+    def _lazy_calls(tree: ast.Module) -> List[ast.Call]:
+        return [
+            node.value
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and call_name(node.value) == LAZY_EXPORTS_CALL
+        ]
+
+    def _check_lazy_targets(self, ctx: ModuleContext, lazy: LazyTable) -> Iterable[Finding]:
+        findings: List[Finding] = []
+        for name, (module, node) in lazy.items():
+            path = self._module_path(ctx.path, module)
+            if path is None:
+                findings.append(
+                    ctx.finding(
+                        node, self.rule_id,
+                        f"lazy export {name!r}: module {module!r} has no source "
+                        f"file beside this package",
+                    )
+                )
+                continue
+            tree = self._parse(path)
+            if tree is not None and not self._bound_at_top_level(tree, name):
+                findings.append(
+                    ctx.finding(
+                        node, self.rule_id,
+                        f"lazy export {name!r}: {module} does not bind it at "
+                        f"module top level",
+                    )
+                )
+        return findings
+
+    @staticmethod
+    def _module_path(origin: Path, module: str) -> Optional[Path]:
+        """The source file of ``module`` (a dotted name), located from the
+        file that names it: the nearest ancestor directory called like the
+        module's top-level package is that package."""
+        parts = module.split(".")
+        for directory in origin.resolve().parents:
+            if directory.name == parts[0]:
+                base = directory.parent.joinpath(*parts)
+                for path in (base.with_suffix(".py"), base / "__init__.py"):
+                    if path.is_file():
+                        return path
+                return None
+        return None
+
+    def _parse(self, path: Path) -> Optional[ast.Module]:
+        if path not in self._parsed:
+            try:
+                self._parsed[path] = ast.parse(path.read_text(encoding="utf-8"))
+            except SyntaxError:
+                self._parsed[path] = None  # RL000 reports it in its own file
+        return self._parsed[path]
 
     @staticmethod
     def _bound_at_top_level(tree: ast.Module, name: str) -> bool:

@@ -7,7 +7,9 @@ from :mod:`repro.errors` (so embedders catch one base class and the
 *kind* of failure is machine-readable) or a module-local exception
 type.  Bare stdlib raises — ``ValueError``, ``RuntimeError``,
 ``KeyError``, ... — are flagged; ``NotImplementedError`` on abstract
-hooks is allowed.
+hooks is allowed, and so is ``AttributeError`` inside a ``__getattr__``
+(module-level under PEP 562, or a class's), which the attribute
+protocol requires for a missing name.
 
 **Reason literals.**  The dead-letter vocabulary
 (:data:`repro.stream.deadletter.REASONS`) is closed on purpose:
@@ -84,9 +86,19 @@ class TaxonomyRule(Rule):
         local_classes = {
             node.name for node in ctx.tree.body if isinstance(node, ast.ClassDef)
         }
+        getattr_raises = {
+            id(node)
+            for function in ast.walk(ctx.tree)
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and function.name == "__getattr__"
+            for node in ast.walk(function)
+            if isinstance(node, ast.Raise)
+        }
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Raise):
-                findings.extend(self._check_raise(ctx, node, local_classes))
+                findings.extend(
+                    self._check_raise(ctx, node, local_classes, id(node) in getattr_raises)
+                )
             elif isinstance(node, ast.Call):
                 findings.extend(self._check_reason_call(ctx, node))
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -94,7 +106,11 @@ class TaxonomyRule(Rule):
         return findings
 
     def _check_raise(
-        self, ctx: ModuleContext, node: ast.Raise, local_classes: Set[str]
+        self,
+        ctx: ModuleContext,
+        node: ast.Raise,
+        local_classes: Set[str],
+        in_getattr: bool,
     ) -> Iterable[Finding]:
         exc = node.exc
         if isinstance(exc, ast.Call):
@@ -106,6 +122,8 @@ class TaxonomyRule(Rule):
         name = callee.id
         if name in local_classes or name not in self.banned:
             return []
+        if in_getattr and name == "AttributeError":
+            return []  # the attribute protocol's own signal for a missing name
         return [
             ctx.finding(
                 node, self.rule_id,

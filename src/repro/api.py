@@ -43,18 +43,21 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Union
 
 from repro.core.config import SketchConfig
-from repro.core.dynamic import merge_dynamic_shards
-from repro.core.predictor import MinHashLinkPredictor
-from repro.core.registry import build_predictor as _registry_build
 from repro.errors import ConfigurationError, ReproError
 from repro.graph.stream import StreamRecord
 from repro.interface import LinkPredictor
 from repro.obs.registry import MetricsRegistry
-from repro.serve.engine import QueryEngine
-from repro.serve.packed import PackedSketches
+
+if TYPE_CHECKING:
+    from repro.core.predictor import MinHashLinkPredictor
+    from repro.serve.engine import QueryEngine
+
+# Each verb imports the layers it runs inside its body, so that
+# ``import repro`` and ``repro ingest`` load neither the serving tier nor
+# the method registry (with its baselines and oracle).
 
 __all__ = [
     "IngestReport",
@@ -86,6 +89,8 @@ def build_predictor(
     config, expected_vertices)`` (method name first) is still accepted,
     so existing callers of ``repro.build_predictor`` are unaffected.
     """
+    from repro.core.registry import build_predictor as _registry_build
+
     if isinstance(config, str):
         # Legacy positional form: (method, config?, expected_vertices?).
         return _registry_build(config, *args, expected_vertices=expected_vertices)
@@ -117,7 +122,6 @@ class IngestReport:
 
 def _resolve_source(source: SourceLike, seed: int, *, max_retries: int = 0):
     """Turn any source-like value into an :class:`EdgeSource`."""
-    from repro.graph import datasets
     from repro.stream.sources import (
         FileEdgeSource,
         IteratorEdgeSource,
@@ -131,14 +135,16 @@ def _resolve_source(source: SourceLike, seed: int, *, max_retries: int = 0):
         name = str(source)
         if os.path.exists(name):
             resolved = FileEdgeSource(name)
-        elif name in datasets.DATASETS:
+        else:
+            from repro.graph import datasets
+
+            if name not in datasets.DATASETS:
+                known = ", ".join(datasets.dataset_names())
+                raise ReproError(
+                    f"{name!r} is neither a registry dataset ({known}) nor a file path"
+                )
             resolved = IteratorEdgeSource(
                 datasets.load(name, seed=seed), name=f"dataset:{name}"
-            )
-        else:
-            known = ", ".join(datasets.dataset_names())
-            raise ReproError(
-                f"{name!r} is neither a registry dataset ({known}) nor a file path"
             )
     else:
         resolved = IteratorEdgeSource(source)
@@ -199,7 +205,6 @@ def ingest(
     interleaving.  Append-only configurations dead-letter deletes with
     reason ``unsupported_delete``.
     """
-    from repro.parallel import ShardedRunner
     from repro.stream.checkpoint import CheckpointManager
     from repro.stream.runner import StreamRunner
 
@@ -213,6 +218,8 @@ def ingest(
         batch_size=batch_size,
     )
     if workers > 1:
+        from repro.parallel import ShardedRunner
+
         runner = ShardedRunner(
             resolved,
             workers=workers,
@@ -240,6 +247,8 @@ def ingest(
 def _servable(checkpoint):
     """Pack a verified checkpoint's arrays as they are (dynamic CSR
     checkpoints keep the predictor route)."""
+    from repro.serve.packed import PackedSketches
+
     if checkpoint.config.dynamic_mode:
         return checkpoint.to_predictor()
     return PackedSketches.from_arrays(checkpoint.export_arrays(), checkpoint.config)
@@ -247,7 +256,6 @@ def _servable(checkpoint):
 
 def _from_checkpoint_dir(directory: Path, metrics: MetricsRegistry):
     """Load a serial *or* sharded checkpoint directory for serving."""
-    from repro.parallel.worker import shard_directory
     from repro.stream.checkpoint import CheckpointManager
 
     shard_dirs = sorted(directory.glob("shard-*"))
@@ -256,6 +264,10 @@ def _from_checkpoint_dir(directory: Path, metrics: MetricsRegistry):
         if checkpoint is None:
             raise ReproError(f"{directory} holds no checkpoint generations")
         return checkpoint.state
+    from repro.core.dynamic import merge_dynamic_shards
+    from repro.parallel.worker import shard_directory
+    from repro.serve.packed import PackedSketches
+
     shards = []
     for index, shard_dir in enumerate(shard_dirs):
         if shard_dir != shard_directory(directory, index):
@@ -317,6 +329,8 @@ def open_engine(
     ``batch_size``, ``metrics``, ...); skipped corrupt generations
     count into its ``checkpoint_corrupt_generations_total``.
     """
+    from repro.serve.engine import QueryEngine
+
     metrics = engine_options.setdefault("metrics", MetricsRegistry())
     return QueryEngine(
         _servable_from_target(target, "open_engine", metrics), **engine_options
@@ -374,8 +388,6 @@ def serve(
     See ``docs/OPERATIONS.md`` ("Running the server") for the runbook.
     """
     from repro.serve.server import SketchServer
-    from repro.stream.checkpoint import CheckpointManager
-    from repro.stream.runner import StreamRunner
 
     if (target is None) == (source is None):
         raise ConfigurationError(
@@ -393,6 +405,9 @@ def serve(
             metrics=metrics,
             **server_options,
         )
+    from repro.stream.checkpoint import CheckpointManager
+    from repro.stream.runner import StreamRunner
+
     resolved = _resolve_source(source, seed, max_retries=max_retries)
     manager = CheckpointManager(checkpoint_dir, keep=keep) if checkpoint_dir else None
     if resume and manager is None:

@@ -62,23 +62,25 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.core import SketchConfig, build_predictor
+from repro.core.config import SketchConfig
 from repro.errors import ReproError
-from repro.eval.candidates import sample_two_hop_pairs
-from repro.eval.experiments import accuracy_profile
-from repro.eval.reporting import format_table
-from repro.exact.oracle import ExactOracle
-from repro.graph import datasets
-from repro.graph.io import read_edge_list
-from repro.graph.stream import Edge, StreamStats
+
+if TYPE_CHECKING:
+    from repro.graph.stream import Edge
+
+# Each subcommand imports what it runs, so ``ingest``, ``query`` and
+# ``serve`` never load the evaluation harness or the method registry.
 
 __all__ = ["main", "build_parser"]
 
 
 def _load_edges(source: str, seed: int) -> List[Edge]:
     """Resolve a dataset name or an edge-list path into a stream."""
+    from repro.graph import datasets
+    from repro.graph.io import read_edge_list
+
     if source in datasets.DATASETS:
         return datasets.load(source, seed=seed)
     if os.path.exists(source):
@@ -90,6 +92,9 @@ def _load_edges(source: str, seed: int) -> List[Edge]:
 
 
 def _cmd_datasets(args: argparse.Namespace) -> int:
+    from repro.eval.reporting import format_table
+    from repro.graph import datasets
+
     rows = []
     for name in datasets.dataset_names():
         stats = datasets.statistics(name, seed=args.seed)
@@ -117,6 +122,9 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from repro.eval.reporting import format_table
+    from repro.graph.stream import StreamStats
+
     stats = StreamStats()
     for edge in _load_edges(args.source, args.seed):
         stats.observe(edge)
@@ -140,6 +148,10 @@ def _config_from_args(args: argparse.Namespace) -> SketchConfig:
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     from repro.core.persistence import load_predictor, save_predictor
+    from repro.core.registry import build_predictor
+    from repro.eval.candidates import sample_two_hop_pairs
+    from repro.eval.reporting import format_table
+    from repro.exact.oracle import ExactOracle
 
     edges = _load_edges(args.source, args.seed)
     oracle = ExactOracle()  # used only to enumerate two-hop candidates
@@ -172,6 +184,12 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from repro.core.registry import build_predictor
+    from repro.eval.candidates import sample_two_hop_pairs
+    from repro.eval.experiments import accuracy_profile
+    from repro.eval.reporting import format_table
+    from repro.exact.oracle import ExactOracle
+
     edges = _load_edges(args.source, args.seed)
     oracle = ExactOracle()
     predictor = build_predictor(
@@ -201,8 +219,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_discover(args: argparse.Namespace) -> int:
-    from repro.core import MinHashLinkPredictor
     from repro.core.lshindex import LshCandidateIndex, bands_for_threshold
+    from repro.core.predictor import MinHashLinkPredictor
+    from repro.eval.reporting import format_table
 
     edges = _load_edges(args.source, args.seed)
     predictor = MinHashLinkPredictor(SketchConfig(k=args.k, seed=args.seed))
@@ -234,6 +253,7 @@ def _cmd_discover(args: argparse.Namespace) -> int:
 
 def _cmd_triangles(args: argparse.Namespace) -> int:
     from repro.core.triangles import StreamingTriangleCounter
+    from repro.eval.reporting import format_table
 
     edges = _load_edges(args.source, args.seed)
     counter = StreamingTriangleCounter(SketchConfig(k=args.k, seed=args.seed))
@@ -338,9 +358,11 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     does not pay for).
     """
     from repro.api import _resolve_source
-    from repro.obs import MetricsRegistry
-    from repro.parallel import ShardedRunner
-    from repro.stream import CheckpointManager, FileDeadLetters, MemoryDeadLetters, StreamRunner
+    from repro.eval.reporting import format_table
+    from repro.obs.registry import MetricsRegistry
+    from repro.stream.checkpoint import CheckpointManager
+    from repro.stream.deadletter import FileDeadLetters, MemoryDeadLetters
+    from repro.stream.runner import StreamRunner
 
     source = _resolve_source(args.source, args.seed, max_retries=args.max_retries)
     if args.resume:
@@ -370,6 +392,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     )
     title = f"Ingest: {args.source}"
     if args.workers > 1:
+        from repro.parallel.runner import ShardedRunner
+
         runner = ShardedRunner(
             source,
             workers=args.workers,
@@ -422,6 +446,8 @@ def _query_rows(args: argparse.Namespace, engine, reporter=None) -> list:
     if bool(args.pairs_file) == (args.vertex is not None):
         raise ReproError("query needs exactly one of --pairs-file or --vertex")
     if args.pairs_file:
+        from repro.graph.io import read_edge_list
+
         if not os.path.exists(args.pairs_file):
             raise ReproError(f"pair file {args.pairs_file!r} does not exist")
         pairs = [
@@ -452,6 +478,8 @@ def _query_rows(args: argparse.Namespace, engine, reporter=None) -> list:
 
 def _emit_query_results(args: argparse.Namespace, rows: list, stats: dict) -> None:
     import json as json_module
+
+    from repro.eval.reporting import format_table
 
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
@@ -514,6 +542,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
                     )
                 target = args.checkpoint_dir
             elif args.source:
+                from repro.core.registry import build_predictor
+
                 target = build_predictor(
                     "minhash", _config_from_args(args), expected_vertices=None
                 )
@@ -662,6 +692,8 @@ def _fetch_snapshot(url: str) -> dict:
 def _cmd_monitor(args: argparse.Namespace) -> int:
     import datetime
 
+    from repro.eval.reporting import format_table
+
     if bool(args.metrics_file) == bool(args.url):
         raise ReproError(
             "monitor needs exactly one of a metrics file or --url http://host:port/v1/metrics"
@@ -716,6 +748,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
 
 
 def _cmd_casebook(args: argparse.Namespace) -> int:
+    from repro.eval.reporting import format_table
     from repro.stream.casebook import (
         CASEBOOK,
         SyntheticCorpusGenerator,

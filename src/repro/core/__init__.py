@@ -14,27 +14,36 @@ Public entry points:
   baselines.
 """
 
-from repro.core.biased import BiasedMinHashLinkPredictor
-from repro.core.block import apply_dynamic_block, apply_edge_block, coerce_edge_batch
-from repro.core.config import (
-    SketchConfig,
-    hoeffding_epsilon,
-    hoeffding_failure_probability,
-    required_k,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.biased": ["BiasedMinHashLinkPredictor"],
+        "repro.core.block": [
+            "apply_dynamic_block", "apply_edge_block", "coerce_edge_batch",
+        ],
+        "repro.core.config": [
+            "SketchConfig", "hoeffding_epsilon", "hoeffding_failure_probability",
+            "required_k",
+        ],
+        "repro.core.degrees": ["CountMinDegrees", "DegreeTracker", "ExactDegrees"],
+        "repro.core.directed": ["DirectedExactOracle", "DirectedMinHashPredictor"],
+        "repro.core.dynamic": [
+            "DynamicArrays", "DynamicMinHashPredictor", "merge_dynamic_shards",
+        ],
+        "repro.core.lshindex": [
+            "LshCandidateIndex", "bands_for_threshold", "lsh_threshold",
+        ],
+        "repro.core.memory": ["MemoryReport", "memory_report"],
+        "repro.core.persistence": ["load_predictor", "save_predictor"],
+        "repro.core.predictor": [
+            "MinHashLinkPredictor", "PairEstimate", "merge_shards",
+        ],
+        "repro.core.registry": ["METHODS", "build_predictor", "equal_space_parameters"],
+        "repro.core.windowed": ["WindowedMinHashPredictor"],
+    },
 )
-from repro.core.degrees import CountMinDegrees, DegreeTracker, ExactDegrees
-from repro.core.directed import DirectedExactOracle, DirectedMinHashPredictor
-from repro.core.dynamic import (
-    DynamicArrays,
-    DynamicMinHashPredictor,
-    merge_dynamic_shards,
-)
-from repro.core.lshindex import LshCandidateIndex, bands_for_threshold, lsh_threshold
-from repro.core.memory import MemoryReport, memory_report
-from repro.core.persistence import load_predictor, save_predictor
-from repro.core.predictor import MinHashLinkPredictor, PairEstimate, merge_shards
-from repro.core.registry import METHODS, build_predictor, equal_space_parameters
-from repro.core.windowed import WindowedMinHashPredictor
 
 __all__ = [
     "BiasedMinHashLinkPredictor",

@@ -7,34 +7,24 @@ and the bounded-memory sampling competitors
 (:mod:`repro.exact.baselines`).
 """
 
-from repro.exact.baselines import EdgeReservoirBaseline, NeighborReservoirBaseline
-from repro.exact.measures import (
-    ADAMIC_ADAR,
-    COMMON_NEIGHBORS,
-    COSINE,
-    HUB_DEPRESSED,
-    HUB_PROMOTED,
-    JACCARD,
-    LEICHT_HOLME_NEWMAN,
-    MEASURES,
-    PREFERENTIAL_ATTACHMENT,
-    RESOURCE_ALLOCATION,
-    SORENSEN,
-    Measure,
-    adamic_adar,
-    adamic_adar_weight,
-    common_neighbors,
-    cosine,
-    exact_score,
-    jaccard,
-    measure_by_name,
-    preferential_attachment,
-    resource_allocation,
-    resource_allocation_weight,
-    sorensen,
-    witness_sum,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.exact.baselines": ["EdgeReservoirBaseline", "NeighborReservoirBaseline"],
+        "repro.exact.measures": [
+            "ADAMIC_ADAR", "COMMON_NEIGHBORS", "COSINE", "HUB_DEPRESSED",
+            "HUB_PROMOTED", "JACCARD", "LEICHT_HOLME_NEWMAN", "MEASURES",
+            "PREFERENTIAL_ATTACHMENT", "RESOURCE_ALLOCATION", "SORENSEN", "Measure",
+            "adamic_adar", "adamic_adar_weight", "common_neighbors", "cosine",
+            "exact_score", "jaccard", "measure_by_name", "preferential_attachment",
+            "resource_allocation", "resource_allocation_weight", "sorensen",
+            "witness_sum",
+        ],
+        "repro.exact.oracle": ["ExactOracle"],
+    },
 )
-from repro.exact.oracle import ExactOracle
 
 __all__ = [
     "ADAMIC_ADAR",

@@ -6,38 +6,28 @@ over :class:`~repro.graph.stream.Edge`; everything in this subpackage
 produces or transforms such streams.
 """
 
-from repro.graph.adjacency import AdjacencyGraph
-from repro.graph.digraph import DirectedGraph
-from repro.graph.io import (
-    LineDiagnostic,
-    VertexRelabeler,
-    iter_edge_list,
-    parse_edge_line,
-    parse_stream_record,
-    read_edge_list,
-    scan_edge_list,
-    write_edge_list,
-)
-from repro.graph.stream import (
-    OPS,
-    Edge,
-    EdgeStream,
-    StreamRecord,
-    StreamStats,
-    checkpoints,
-    deduplicated,
-    edge_key,
-    from_pairs,
-    prefix,
-    shuffled,
-    with_timestamps,
-)
-from repro.graph.temporal import (
-    TimestampStats,
-    clip_by_time,
-    rate_profile,
-    sort_by_timestamp,
-    time_snapshots,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.graph.adjacency": ["AdjacencyGraph"],
+        "repro.graph.digraph": ["DirectedGraph"],
+        "repro.graph.io": [
+            "LineDiagnostic", "VertexRelabeler", "iter_edge_list", "parse_edge_line",
+            "parse_stream_record", "read_edge_list", "scan_edge_list",
+            "write_edge_list",
+        ],
+        "repro.graph.stream": [
+            "OPS", "Edge", "EdgeStream", "StreamRecord", "StreamStats", "checkpoints",
+            "deduplicated", "edge_key", "from_pairs", "prefix", "shuffled",
+            "with_timestamps",
+        ],
+        "repro.graph.temporal": [
+            "TimestampStats", "clip_by_time", "rate_profile", "sort_by_timestamp",
+            "time_snapshots",
+        ],
+    },
 )
 
 __all__ = [

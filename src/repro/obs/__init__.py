@@ -25,15 +25,18 @@ never drift because they are the same numbers.  See
 
 from __future__ import annotations
 
-from repro.obs.export import PeriodicReporter, render_prometheus, snapshot
-from repro.obs.registry import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.obs.export": ["PeriodicReporter", "render_prometheus", "snapshot"],
+        "repro.obs.registry": [
+            "DEFAULT_BUCKETS", "Counter", "Gauge", "Histogram", "MetricsRegistry",
+        ],
+        "repro.obs.timer": ["Span", "Tracer", "render_trace"],
+    },
 )
-from repro.obs.timer import Span, Tracer, render_trace
 
 __all__ = [
     "Counter",

@@ -10,9 +10,16 @@ public entry point; most callers reach it through
 ``repro.api.ingest(..., workers=N)`` or ``repro ingest --workers N``.
 """
 
-from repro.parallel.partition import shard_counts, shard_of, shard_of_array
-from repro.parallel.runner import ShardedRunner
-from repro.parallel.worker import shard_directory, shard_worker_main
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.parallel.partition": ["shard_counts", "shard_of", "shard_of_array"],
+        "repro.parallel.runner": ["ShardedRunner"],
+        "repro.parallel.worker": ["shard_directory", "shard_worker_main"],
+    },
+)
 
 __all__ = [
     "ShardedRunner",

@@ -30,10 +30,17 @@ same estimators, same clamps, same unseen-vertex policy (0.0, never a
 ``KeyError``) — it just answers thousands of them per NumPy dispatch.
 """
 
-from repro.serve.engine import QueryEngine
-from repro.serve.kernels import score_pairs_packed
-from repro.serve.packed import PackedSketches
-from repro.serve.server import Generation, SketchServer
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.serve.engine": ["QueryEngine"],
+        "repro.serve.kernels": ["score_pairs_packed"],
+        "repro.serve.packed": ["PackedSketches"],
+        "repro.serve.server": ["Generation", "SketchServer"],
+    },
+)
 
 __all__ = [
     "Generation",

@@ -65,7 +65,7 @@ import signal
 import threading
 import time
 import urllib.parse
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -75,7 +75,10 @@ from repro.graph.io import parse_edge_line
 from repro.obs.export import render_prometheus, snapshot
 from repro.obs.registry import MetricsRegistry
 from repro.serve.engine import QueryEngine
-from repro.stream.runner import StreamRunner
+
+if TYPE_CHECKING:
+    # Only live serving runs an ingest; static serving does not load it.
+    from repro.stream.runner import StreamRunner
 
 __all__ = ["Generation", "SketchServer"]
 

@@ -7,15 +7,22 @@ The graph-stream link predictors in :mod:`repro.core` are composed from
 these primitives; each is also a usable standalone tool.
 """
 
-from repro.sketches.base import MergeableSummary, StreamSummary
-from repro.sketches.bloom import BloomFilter
-from repro.sketches.bottomk import BottomK
-from repro.sketches.countmin import CountMin
-from repro.sketches.dynamic import DynamicKMinHash
-from repro.sketches.hyperloglog import HyperLogLog
-from repro.sketches.minhash import EMPTY_SLOT, NO_WITNESS, KMinHash
-from repro.sketches.reservoir import Reservoir
-from repro.sketches.weighted_minhash import WeightedMinHash
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.sketches.base": ["MergeableSummary", "StreamSummary"],
+        "repro.sketches.bloom": ["BloomFilter"],
+        "repro.sketches.bottomk": ["BottomK"],
+        "repro.sketches.countmin": ["CountMin"],
+        "repro.sketches.dynamic": ["DynamicKMinHash"],
+        "repro.sketches.hyperloglog": ["HyperLogLog"],
+        "repro.sketches.minhash": ["EMPTY_SLOT", "NO_WITNESS", "KMinHash"],
+        "repro.sketches.reservoir": ["Reservoir"],
+        "repro.sketches.weighted_minhash": ["WeightedMinHash"],
+    },
+)
 
 __all__ = [
     "StreamSummary",

@@ -37,41 +37,30 @@ for the case-by-case contract.
 
 from __future__ import annotations
 
-from repro.stream.casebook import (
-    CASEBOOK,
-    Case,
-    CasebookReport,
-    ReplayReport,
-    SyntheticCorpusGenerator,
-    check_casebook,
-    replay_dead_letters,
-)
-from repro.stream.checkpoint import Checkpoint, CheckpointManager
-from repro.stream.deadletter import (
-    REASONS,
-    DeadLetter,
-    DeadLetterSink,
-    FileDeadLetters,
-    MemoryDeadLetters,
-    read_dead_letters,
-)
-from repro.stream.faults import FaultInjector, FlakySource
-from repro.stream.policies import (
-    DEFAULT_POLICIES,
-    MODES,
-    GuardVerdict,
-    PolicySet,
-    StreamGuard,
-)
-from repro.stream.runner import StreamRunner
-from repro.stream.sources import (
-    EdgeSource,
-    FileEdgeSource,
-    IteratorEdgeSource,
-    RetryingSource,
-    RetryPolicy,
-    SourceRecord,
-    SyntheticEdgeSource,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.stream.casebook": [
+            "CASEBOOK", "Case", "CasebookReport", "ReplayReport",
+            "SyntheticCorpusGenerator", "check_casebook", "replay_dead_letters",
+        ],
+        "repro.stream.checkpoint": ["Checkpoint", "CheckpointManager"],
+        "repro.stream.deadletter": [
+            "REASONS", "DeadLetter", "DeadLetterSink", "FileDeadLetters",
+            "MemoryDeadLetters", "read_dead_letters",
+        ],
+        "repro.stream.faults": ["FaultInjector", "FlakySource"],
+        "repro.stream.policies": [
+            "DEFAULT_POLICIES", "MODES", "GuardVerdict", "PolicySet", "StreamGuard",
+        ],
+        "repro.stream.runner": ["StreamRunner"],
+        "repro.stream.sources": [
+            "EdgeSource", "FileEdgeSource", "IteratorEdgeSource", "RetryingSource",
+            "RetryPolicy", "SourceRecord", "SyntheticEdgeSource",
+        ],
+    },
 )
 
 __all__ = [

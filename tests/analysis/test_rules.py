@@ -203,6 +203,30 @@ class TestTaxonomyRL002:
         assert len(only_rule(findings, "RL002")) == 1
         assert "'gamma'" in findings[0].message
 
+    def test_attribute_error_allowed_inside_getattr_only(self, lint_tree):
+        # PEP 562 and the data model make AttributeError the signal for
+        # a missing name; anywhere else it is still a bare raise.
+        findings, _, _ = lint_tree(
+            {"mod.py": """
+            def __getattr__(name):
+                raise AttributeError(name)
+
+            def lazy():
+                def __getattr__(name):
+                    raise AttributeError(name)
+                return __getattr__
+
+            class Proxy:
+                def __getattr__(self, name):
+                    raise AttributeError(name)
+
+            def lookup(name):
+                raise AttributeError(name)
+            """},
+            [self.rule()],
+        )
+        assert [f.line for f in only_rule(findings, "RL002")] == [15]  # lookup()
+
     def test_live_vocabulary_is_the_default(self):
         # The rule imports REASONS, not a copy: a reason used at a call
         # site without being registered fails lint (taxonomy drift).
@@ -495,6 +519,71 @@ class TestApiSurfaceRL005:
             [self.rule()],
         )
         assert findings == []
+
+    LAZY_PACKAGE = {
+        "pkg/mod.py": """
+        thing = 1
+
+
+        def helper():
+            return thing
+        """,
+    }
+
+    def lazy_init(self, table: str, exported: str = '["thing", "helper"]') -> dict:
+        files = dict(self.LAZY_PACKAGE)
+        files["pkg/__init__.py"] = f"""
+        from repro._lazy import lazy_exports
+
+        __getattr__, __dir__ = lazy_exports(__name__, {table})
+
+        __all__ = {exported}
+        """
+        return files
+
+    def test_lazy_table_entries_count_as_bound(self, lint_tree):
+        findings, _, _ = lint_tree(
+            self.lazy_init('{"pkg.mod": ["thing", "helper"]}'), [self.rule()]
+        )
+        assert findings == []
+
+    def test_lazy_entry_its_module_does_not_bind_flagged(self, lint_tree):
+        findings, _, _ = lint_tree(
+            self.lazy_init('{"pkg.mod": ["thing", "helpr"]}', '["thing", "helpr"]'),
+            [self.rule()],
+        )
+        assert [f.message for f in only_rule(findings, "RL005")] == [
+            "lazy export 'helpr': pkg.mod does not bind it at module top level"
+        ]
+
+    def test_lazy_entry_naming_a_missing_module_flagged(self, lint_tree):
+        findings, _, _ = lint_tree(
+            self.lazy_init('{"pkg.mod": ["thing"], "pkg.gone": ["helper"]}'),
+            [self.rule()],
+        )
+        assert [f.message for f in only_rule(findings, "RL005")] == [
+            "lazy export 'helper': module 'pkg.gone' has no source file beside "
+            "this package"
+        ]
+
+    def test_all_entry_outside_the_lazy_table_still_flagged(self, lint_tree):
+        findings, _, _ = lint_tree(
+            self.lazy_init('{"pkg.mod": ["thing"]}'), [self.rule()]
+        )
+        messages = [f.message for f in only_rule(findings, "RL005")]
+        assert messages == [
+            "__all__ entry 'helper' is not bound at module top level (stale export?)"
+        ]
+
+    @pytest.mark.parametrize(
+        "table", ["dict(TABLE)", '{"pkg.mod": NAMES}', '{MODULE: ["thing"]}']
+    )
+    def test_non_literal_lazy_table_flagged(self, lint_tree, table):
+        findings, _, _ = lint_tree(self.lazy_init(table, "[]"), [self.rule()])
+        assert [f.message for f in only_rule(findings, "RL005")] == [
+            "lazy_exports() needs a literal {module: [names]} dict as its "
+            "second argument"
+        ]
 
     def test_default_facade_names_come_from_the_live_package(self):
         import repro
