@@ -24,6 +24,7 @@ most half the error of the append-only arm.
 
 from __future__ import annotations
 
+import os
 import random
 import sys
 
@@ -153,6 +154,7 @@ def main(argv=None) -> int:
 
     record = dict(results)
     record["ratio_bar"] = RATIO_BAR
+    record["cores"] = os.cpu_count() or 1
     json_path = emit_json(EXPERIMENT, record, path=args.json or None)
     print(
         f"e11c smoke={args.smoke} "

@@ -19,6 +19,7 @@ Also runnable without pytest for the CI smoke step::
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -139,6 +140,7 @@ def test_e15_report_and_shape(benchmark):
             "speedup": speedup,
             "topk_candidates_brute": _RESULTS["brute_candidates"],
             "topk_candidates_pruned": _RESULTS["pruned_candidates"],
+            "cores": os.cpu_count() or 1,
         },
     )
     assert speedup >= SPEEDUP_BAR, f"score_many only {speedup:.1f}x the loop"
@@ -200,6 +202,7 @@ def main(argv=None):
             "speedup": speedup,
             "topk_candidates_brute": brute_scored,
             "topk_candidates_pruned": pruned_scored,
+            "cores": os.cpu_count() or 1,
         },
         path=args.json or None,
     )

@@ -34,6 +34,7 @@ runs longer and holds higher bars.  Exit code 0 iff every gate holds.
 
 from __future__ import annotations
 
+import os
 import sys
 import tempfile
 import threading
@@ -206,6 +207,7 @@ def main(argv=None) -> int:
     summary["identity_samples_checked"] = checked
     summary["drained_cleanly"] = bool(drained)
     summary["final_checkpoints"] = len(final_checkpoints)
+    summary["cores"] = os.cpu_count() or 1
     p99 = report.latency_quantile(0.99)
 
     checks = [

@@ -37,8 +37,7 @@ def main() -> None:
     rng = np.random.default_rng(7)
     pairs = rng.integers(0, 4_500, size=(20_000, 2))
 
-    engine.score_many(pairs[:64], "adamic_adar")  # first call pays the
-    # one-time witness-weight resolution; time the steady state
+    engine.score_many(pairs[:64], "adamic_adar")  # warm-up; time the steady state
     started = time.perf_counter()
     batch_scores = engine.score_many(pairs, "adamic_adar")
     batch_seconds = time.perf_counter() - started

@@ -16,9 +16,11 @@ Ullman ch. 3) provides exactly that, for free:
   probability ``1 - (1 - J^rows)^bands``, an S-curve with threshold
   ``J* ≈ (1/bands)^(1/rows)``.
 
-The index is built in one vectorized pass over a snapshot's contiguous
+The index is built band by band over a snapshot's contiguous
 ``uint64 (n, k)`` slot matrix (``O(n·bands)`` NumPy work, no per-vertex
-Python loop) and returns candidates whose estimated Jaccard clears a
+Python loop, ``O(n)`` scratch beside what it keeps: one ``int32``
+member entry per indexed vertex and band, 16 bytes per bucket) and
+returns candidates whose estimated Jaccard clears a
 cut-off, optionally rescored by any registered measure.  Pairs that are
 already edges can be filtered by the caller (the sketches themselves
 cannot know adjacency — by design they summarise neighborhoods, not
@@ -98,6 +100,26 @@ def _concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return offsets + np.arange(len(offsets), dtype=np.int64)
 
 
+def _chain(slots: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Chained SplitMix64 over the last axis of ``slots``, from ``seeds``."""
+    accumulator = seeds
+    for row in range(slots.shape[-1]):
+        accumulator = _splitmix64_array(accumulator ^ slots[..., row])
+    return accumulator
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries of a sorted array starts."""
+    starts = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return starts
+
+
+def _index_type(size: int) -> type:
+    """The narrowest of ``int32``/``int64`` that indexes ``size`` entries."""
+    return np.int32 if size < 2**31 else np.int64
+
+
 class LshCandidateIndex(object):
     """Banding index over a snapshot of vertex sketches.
 
@@ -121,10 +143,14 @@ class LshCandidateIndex(object):
         are too small for a Jaccard self-join to mean anything, and
         leaving them out keeps buckets informative.
 
-    Layout: every ``(band, signature)`` bucket is one slice of
-    ``_members`` (row numbers, ascending within a bucket), and the
-    buckets are sorted by ``(signature, band)`` so a whole query's
-    bands resolve in one :func:`numpy.searchsorted`.
+    Layout: every ``(band, signature)`` bucket is one slice
+    ``_members[start:stop]`` of row numbers, each band's slices lying
+    in its own stretch of ``_members``, one entry per indexed vertex (so
+    ``start // stretch`` is the band), and the buckets are sorted by
+    ``(signature, band)`` so a whole query's bands resolve in one
+    :func:`numpy.searchsorted`.  The build hashes and sorts one band at a
+    time, so beside what the index holds (:meth:`nbytes`) its scratch is
+    ``O(n)``.
     """
 
     __slots__ = (
@@ -135,9 +161,10 @@ class LshCandidateIndex(object):
         "max_bucket",
         "min_degree",
         "skipped_buckets",
+        "_width",
         "_bucket_signatures",
-        "_bucket_bands",
-        "_bucket_bounds",
+        "_bucket_starts",
+        "_bucket_stops",
         "_members",
     )
 
@@ -168,25 +195,49 @@ class LshCandidateIndex(object):
         self.min_degree = min_degree
         self.skipped_buckets = 0
         indexed = np.flatnonzero(sketches.degrees >= min_degree)
-        width = max(len(indexed), 1)
-        # Entry b*width + i is (band b, indexed row i); the stable sort
-        # keeps equal signatures in (band, row) order, so every bucket
-        # is one contiguous run with its members ascending.
-        signatures = self._signatures(self.values[indexed]).ravel()
-        order = np.argsort(signatures, kind="stable")
-        signatures = signatures[order]
-        bands_of = order // width
-        new_bucket = np.ones(len(signatures), dtype=bool)
-        new_bucket[1:] = (signatures[1:] != signatures[:-1]) | (bands_of[1:] != bands_of[:-1])
-        starts = np.flatnonzero(new_bucket)
-        self._bucket_signatures = signatures[starts]
-        self._bucket_bands = bands_of[starts]
-        self._bucket_bounds = np.append(starts, len(signatures))
-        self._members = indexed[np.remainder(order, width, out=order)]
+        width = self._width = len(indexed)
+        self._members = np.empty(bands * width, dtype=_index_type(len(self.vertex_ids)))
+        # First pass: sorting a band's signatures makes each of its
+        # buckets one run of the band's stretch; keep each run's signature.
+        runs = []
+        for band in range(bands):
+            members = self._members[band * width : (band + 1) * width]
+            signatures = self._band_signatures(band)[indexed]
+            order = np.argsort(signatures)
+            members[:] = indexed[order]
+            signatures = signatures[order]
+            runs.append(signatures[_run_starts(signatures)])
+        self._bucket_signatures = np.concatenate(runs)
+        del runs
+        self._bucket_signatures.sort()
+        # Second pass: hash again (keeping every band's sorted signatures
+        # would cost 8 bytes per member) and write each run to its
+        # bucket's sorted place.  A band's runs have distinct signatures,
+        # and a signature shared by several bands takes its places in
+        # band order, so the buckets end in (signature, band) order.
+        position_type = _index_type(len(self._members))
+        self._bucket_starts = np.zeros(self.bucket_count(), dtype=position_type)
+        self._bucket_stops = np.zeros(self.bucket_count(), dtype=position_type)
+        for band in range(bands):
+            members = self._members[band * width : (band + 1) * width]
+            signatures = self._band_signatures(band)[members]
+            starts = np.flatnonzero(_run_starts(signatures))
+            places = np.searchsorted(self._bucket_signatures, signatures[starts])
+            taken = np.flatnonzero(self._bucket_stops[places])
+            while len(taken):
+                places[taken] += 1
+                taken = taken[self._bucket_stops[places[taken]] > 0]
+            self._bucket_starts[places] = starts + band * width
+            self._bucket_stops[places] = np.append(starts[1:], width) + band * width
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+
+    def _band_signatures(self, band: int) -> np.ndarray:
+        """Band ``band``'s signature of every row, ``uint64 (n,)``."""
+        lo = band * self.rows
+        return _chain(self.values[:, lo : lo + self.rows], np.uint64(band + 1))
 
     def _signatures(self, values: np.ndarray) -> np.ndarray:
         """Every band's 64-bit signature, ``uint64 (bands, len(values))``.
@@ -195,11 +246,8 @@ class LshCandidateIndex(object):
         ``band + 1`` — stable across processes (unlike Python's salted
         ``hash``), so index contents are reproducible.
         """
-        slots = values[:, : self.bands * self.rows].reshape(len(values), self.bands, self.rows).T
-        accumulator = np.arange(1, self.bands + 1, dtype=np.uint64)[:, np.newaxis]
-        for row in range(self.rows):
-            accumulator = _splitmix64_array(accumulator ^ slots[row])
-        return accumulator
+        slots = values[:, : self.bands * self.rows].reshape(len(values), self.bands, self.rows)
+        return _chain(slots, np.arange(1, self.bands + 1, dtype=np.uint64)).T
 
     # ------------------------------------------------------------------
     # Queries
@@ -227,17 +275,19 @@ class LshCandidateIndex(object):
         Overfull buckets are skipped and counted in
         :attr:`skipped_buckets`.
         """
-        sizes = np.diff(self._bucket_bounds)
+        sizes = self._bucket_stops - self._bucket_starts
         self.skipped_buckets = int(np.count_nonzero(sizes > self.max_bucket))
         kept = (sizes >= 2) & (sizes <= self.max_bucket)
-        bucket_stops = self._bucket_bounds[1:][kept]
+        bucket_stops = self._bucket_stops[kept]
         # Pair every member position with each later position in its bucket.
-        positions = _concat_ranges(self._bucket_bounds[:-1][kept], bucket_stops)
+        positions = _concat_ranges(self._bucket_starts[kept], bucket_stops)
         stops = np.repeat(bucket_stops, sizes[kept])
         left = np.repeat(positions, stops - positions - 1)
         right = _concat_ranges(positions + 1, stops)
         n = max(len(self.vertex_ids), 1)
-        keys = np.unique(self._members[left] * n + self._members[right])
+        left = self._members[left].astype(np.int64)
+        right = self._members[right]
+        keys = np.unique(np.minimum(left, right) * n + np.maximum(left, right))
         k = self.values.shape[1]
         for lo in range(0, len(keys), 4096):
             chunk = keys[lo : lo + 4096]
@@ -278,11 +328,10 @@ class LshCandidateIndex(object):
         hi = np.searchsorted(self._bucket_signatures, wanted, side="right")
         # A signature may recur in other bands; keep the query band's bucket.
         buckets = _concat_ranges(lo, hi)
-        buckets = buckets[self._bucket_bands[buckets] == np.repeat(np.arange(self.bands), hi - lo)]
+        bands_of = self._bucket_starts[buckets] // self._width
+        buckets = buckets[bands_of == np.repeat(np.arange(self.bands), hi - lo)]
         members = np.sort(
-            self._members[
-                _concat_ranges(self._bucket_bounds[buckets], self._bucket_bounds[buckets + 1])
-            ]
+            self._members[_concat_ranges(self._bucket_starts[buckets], self._bucket_stops[buckets])]
         )
         # Sort-and-mask dedupe: several times faster than np.unique here.
         keep = members != row
@@ -311,6 +360,20 @@ class LshCandidateIndex(object):
     def bucket_count(self) -> int:
         """Number of non-empty buckets."""
         return len(self._bucket_signatures)
+
+    def nbytes(self) -> int:
+        """Bytes the index holds beyond the sketch arrays it references:
+        one member entry per (indexed vertex, band) and a signature,
+        start and stop per bucket."""
+        return sum(
+            array.nbytes
+            for array in (
+                self._members,
+                self._bucket_signatures,
+                self._bucket_starts,
+                self._bucket_stops,
+            )
+        )
 
     def __repr__(self) -> str:
         return (

@@ -34,6 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.block import SLAB_PAIRS
 from repro.core.lshindex import LshCandidateIndex
 from repro.core.predictor import MinHashLinkPredictor
 from repro.errors import ConfigurationError
@@ -73,10 +74,13 @@ class QueryEngine(object):
         (``1`` by default: every sketched vertex is indexed, keeping
         the exact-recall guarantee).
     batch_size:
-        ``score_many`` chunk size in pairs.  Bounds kernel scratch
-        memory at roughly ``batch_size * k * 9`` bytes, and the default
-        keeps that scratch cache-resident — one huge chunk measures
-        ~3x slower than 4096-pair chunks on the witness-sum measures.
+        ``score_many`` chunk size in pairs; the default is the write
+        path's slab, :data:`~repro.core.block.SLAB_PAIRS` (1024).  A
+        chunk's scratch is ~20 bytes per (pair, slot): one ``uint64``
+        gather of both sides' rows and the match masks, plus, for
+        witness-sum measures, one ``float64`` row per pair with a matched
+        slot — ~1.3 MiB at k=64.  It is freed with the chunk, so the
+        engine holds nothing between calls.
     metrics:
         The :class:`~repro.obs.registry.MetricsRegistry` holding the
         engine's instruments (the ``query_*`` family); default a fresh
@@ -94,7 +98,7 @@ class QueryEngine(object):
         bands: Optional[int] = None,
         rows: Optional[int] = None,
         min_degree: int = 1,
-        batch_size: int = 4096,
+        batch_size: int = SLAB_PAIRS,
         metrics: Optional[MetricsRegistry] = None,
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
@@ -150,6 +154,9 @@ class QueryEngine(object):
         self.metrics.gauge(
             "query_store_bytes", "Nominal bytes of the packed matrices"
         ).set_function(lambda: self.store.nominal_bytes())
+        self.metrics.gauge(
+            "query_index_bytes", "Bytes held by the LSH candidate index (0 until built)"
+        ).set_function(lambda: self._index.nbytes() if self._index else 0)
         self.metrics.gauge(
             "query_pack_seconds", "Wall seconds the last pack took"
         ).set_function(lambda: self.store.pack_seconds)
@@ -314,6 +321,7 @@ class QueryEngine(object):
             "index_built": self._index is not None,
             "index_build_seconds": self._index_seconds,
             "index_buckets": self._index.bucket_count() if self._index else 0,
+            "index_bytes": self._index.nbytes() if self._index else 0,
             "batches": int(self._m_batches.value),
             "pairs_scored": pairs,
             "topk_queries": int(self._m_topk.value),

@@ -14,10 +14,11 @@ kept in lockstep with it by the consistency suite:
 * the estimator algebra of :mod:`repro.core.estimators` is re-expressed
   as array arithmetic, term-for-term in the same operation order so the
   scalar and batch paths agree to the last float,
-* witness weights come from a per-measure ``(n, k)`` weight matrix the
-  store resolves once on first use (witness ids and degrees are frozen
-  with the pack), so a query is pure gather/multiply — no per-query
-  id-to-degree resolution.
+* witness weights are resolved per query, for the matched slots of the
+  chunk only (witness id → degree by one
+  :meth:`~repro.serve.packed.PackedSketches.degrees_of`, then the
+  measure's weight), so the store keeps no per-measure cache and a
+  call's scratch is bounded by the chunk, never by the store.
 
 Policy parity (pinned by the regression suite): unseen vertices score
 0.0 for **every** measure, zero-degree endpoints score 0.0 for
@@ -178,8 +179,14 @@ def score_pairs_packed(
         return scores
     idx = seen[live]
     ru, rv, du, dv = ru[live], rv[live], du[live], dv[live]
-    matches = _match_matrix(store.values[ru], store.values[rv])
-    j = matches.sum(axis=1) / _F64(store.k)
+    # One gather for both sides: a chunk's scratch then stays under twice
+    # its largest block, past which glibc hands freed heap back to the OS
+    # and the next chunk page-faults it in again.
+    rows = store.values[np.concatenate([ru, rv])]
+    matches = _match_matrix(rows[: len(ru)], rows[len(ru) :])
+    del rows
+    counts = matches.sum(axis=1)
+    j = counts / _F64(store.k)
     if measure.name == "jaccard":
         scores[idx] = j
         return scores
@@ -197,12 +204,36 @@ def score_pairs_packed(
             "construct with SketchConfig(track_witnesses=True)"
         )
     union = (du + dv) / (1.0 + j)
-    all_weights = store.witness_weight_matrix(measure.name, _weights_of(measure))
-    weights = np.where(matches, all_weights[ru], 0.0)
-    raw = np.maximum(0.0, union * weights.sum(axis=1) / _F64(store.k))
+    sums = _witness_sums(store, ru, matches, counts, measure)
+    raw = np.maximum(0.0, union * sums / _F64(store.k))
     ceiling = np.minimum(du, dv) * measure.witness_weight(2)  # type: ignore[misc]
     scores[idx] = np.minimum(raw, ceiling)
     return scores
+
+
+def _witness_sums(
+    store: PackedSketches,
+    rows_u: np.ndarray,
+    matches: np.ndarray,
+    counts: np.ndarray,
+    measure: Measure,
+) -> np.ndarray:
+    """Per pair, the sum of the measure's weights over matched slots.
+
+    Only matched slots resolve a witness degree.  Their weights land in
+    a dense block with one row per pair that has a match, zeros
+    elsewhere, so each ``sum(axis=1)`` adds the very row that
+    ``np.where(matches, weights[rows_u], 0.0)`` would hold and the
+    result is bit-identical to summing a full weight matrix.
+    """
+    pairs, slots = np.divmod(np.flatnonzero(matches), matches.shape[1])
+    weights = _weights_of(measure)(store.degrees_of(store.witnesses[rows_u[pairs], slots]))
+    hit = np.flatnonzero(counts)
+    block = np.zeros((len(hit), matches.shape[1]), dtype=_F64)
+    block[np.repeat(np.arange(len(hit)), counts[hit]), slots] = weights
+    sums = np.zeros(len(counts), dtype=_F64)
+    sums[hit] = block.sum(axis=1)
+    return sums
 
 
 def _intersection_estimate(j: np.ndarray, du: np.ndarray, dv: np.ndarray) -> np.ndarray:

@@ -19,7 +19,9 @@ predictor after packing are not reflected until
 :meth:`QueryEngine.refresh <repro.serve.engine.QueryEngine.refresh>`
 re-packs.  That is the intended serving discipline — the write path
 and the read path share nothing mutable, so neither can stall the
-other.
+other.  The pack holds these arrays and nothing derived from them: the
+kernel resolves witness degrees per query, so a served generation
+costs :meth:`~PackedSketches.nominal_bytes` and no per-measure cache.
 """
 
 from __future__ import annotations
@@ -60,8 +62,6 @@ class PackedSketches(object):
         "k",
         "seed",
         "pack_seconds",
-        "_witness_degrees",
-        "_weight_cache",
     )
 
     def __init__(
@@ -94,8 +94,6 @@ class PackedSketches(object):
         self.k = k
         self.seed = seed
         self.pack_seconds = pack_seconds
-        self._witness_degrees: Optional[np.ndarray] = None
-        self._weight_cache: dict = {}
 
     @classmethod
     def from_arrays(
@@ -176,44 +174,15 @@ class PackedSketches(object):
     def degrees_of(self, vertices: VertexBatch) -> np.ndarray:
         """Degrees for a batch of vertex ids (0 for unseen vertices).
 
-        Used by the witness-sum kernel to resolve witness degrees: a
-        witness is always a vertex that appeared as a stream endpoint,
-        but the 0-default keeps the kernel total even when a slot holds
-        the ``NO_WITNESS`` sentinel (masked out downstream anyway).
+        Used by the witness-sum kernel to resolve the witnesses of a
+        chunk's matched slots, per query: a witness is always a vertex
+        that appeared as a stream endpoint, and the 0-default keeps the
+        lookup total for any id.
         """
         rows = self.rows_of(vertices)
         if self.n_vertices == 0:
             return np.zeros(rows.shape, dtype=np.int64)
         return np.where(rows >= 0, self.degrees[np.maximum(rows, 0)], np.int64(0))
-
-    def witness_degree_matrix(self) -> np.ndarray:
-        """Degree of each witness slot, ``int64 (n, k)``.
-
-        Resolving witness ids to degrees is a searchsorted over ``n·k``
-        ids — identical for every query against a frozen pack, so it
-        runs once on first use and is cached (this is the dominant cost
-        of the witness-sum kernel when done per query).
-        """
-        if self.witnesses is None:
-            raise SketchStateError(
-                "store has no witnesses; construct the predictor with "
-                "SketchConfig(track_witnesses=True)"
-            )
-        if self._witness_degrees is None:
-            self._witness_degrees = self.degrees_of(
-                self.witnesses.ravel()
-            ).reshape(self.witnesses.shape)
-        return self._witness_degrees
-
-    def witness_weight_matrix(self, name, weight_fn) -> np.ndarray:
-        """``weight_fn`` applied to :meth:`witness_degree_matrix`,
-        cached per measure name (weights are pure functions of the
-        frozen degrees)."""
-        cached = self._weight_cache.get(name)
-        if cached is None:
-            cached = weight_fn(self.witness_degree_matrix())
-            self._weight_cache[name] = cached
-        return cached
 
     def fingerprint(self) -> str:
         """sha256 hex digest over every packed array.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
@@ -347,3 +348,105 @@ class TestMatchesScalarReference:
         assert index.bucket_count() == buckets
         list(index.candidate_pairs())
         assert index.skipped_buckets == skipped
+
+
+# ----------------------------------------------------------------------
+# Differential checks against the global-sort construction
+# ----------------------------------------------------------------------
+
+
+def global_sort_buckets(arrays, bands, rows, min_degree):
+    """Buckets as the index once built them: one stable sort of every
+    (band, indexed row) signature, band-major, so equal signatures stay
+    in (band, row) order.  ``(signature, band, member rows)`` tuples in
+    the index's (signature, band) order."""
+    shape = LshCandidateIndex(arrays, bands=bands, rows=rows, min_degree=min_degree)
+    indexed = np.flatnonzero(arrays.degrees >= min_degree)
+    width = max(len(indexed), 1)
+    signatures = shape._signatures(arrays.values[indexed]).ravel()
+    order = np.argsort(signatures, kind="stable")
+    signatures = signatures[order]
+    bands_of = order // width
+    new_bucket = np.ones(len(signatures), dtype=bool)
+    new_bucket[1:] = (signatures[1:] != signatures[:-1]) | (bands_of[1:] != bands_of[:-1])
+    bounds = np.append(np.flatnonzero(new_bucket), len(signatures))
+    members = indexed[order % width]
+    return [
+        (int(signatures[lo]), int(bands_of[lo]), frozenset(members[lo:hi].tolist()))
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+    ]
+
+
+def index_buckets(index):
+    """The same tuples read from a built index."""
+    stretch = max(index._width, 1)
+    return [
+        (int(signature), start // stretch, frozenset(index._members[start:stop].tolist()))
+        for signature, start, stop in zip(
+            index._bucket_signatures.tolist(),
+            index._bucket_starts.tolist(),
+            index._bucket_stops.tolist(),
+        )
+    ]
+
+
+class TestMatchesGlobalSortBuild:
+    @pytest.mark.parametrize("bands,rows", SHAPES)
+    @pytest.mark.parametrize("seed", [3, 17])
+    @pytest.mark.parametrize("min_degree", [1, 12])
+    def test_buckets_and_candidates(self, bands, rows, seed, min_degree):
+        arrays = random_predictor(seed).export_arrays()
+        index = LshCandidateIndex(arrays, bands=bands, rows=rows, min_degree=min_degree)
+        expected = global_sort_buckets(arrays, bands, rows, min_degree)
+        assert index_buckets(index) == expected
+        assert index.bucket_count() == len(expected)
+        by_key = {(signature, band): rows_ for signature, band, rows_ in expected}
+        for row, vertex in enumerate(arrays.vertex_ids.tolist()):
+            wanted = index._signatures(arrays.values[row : row + 1])[:, 0].tolist()
+            found = set()
+            for band, signature in enumerate(wanted):
+                found |= by_key.get((signature, band), frozenset())
+            found.discard(row)
+            assert np.array_equal(
+                index.candidates_of(vertex), arrays.vertex_ids[sorted(found)]
+            )
+
+    @pytest.mark.parametrize("bands,rows", SHAPES)
+    @pytest.mark.parametrize("max_bucket", [2, 4, 200])
+    def test_candidate_pairs_and_skips(self, bands, rows, max_bucket):
+        arrays = random_predictor(5).export_arrays()
+        index = LshCandidateIndex(arrays, bands=bands, rows=rows, max_bucket=max_bucket)
+        expected, skipped = set(), 0
+        for _, _, members in global_sort_buckets(arrays, bands, rows, 2):
+            if len(members) > max_bucket:
+                skipped += 1
+            elif len(members) >= 2:
+                ordered = sorted(members)
+                expected.update(
+                    (u, v) for i, u in enumerate(ordered) for v in ordered[i + 1 :]
+                )
+        vertex = arrays.vertex_ids
+        pairs = [(c.u, c.v) for c in index.candidate_pairs()]
+        assert pairs == [(int(vertex[u]), int(vertex[v])) for u, v in sorted(expected)]
+        assert index.skipped_buckets == skipped
+
+
+class TestBuildMemory:
+    @pytest.mark.parametrize("bands,rows", [(64, 1), (16, 4), (10, 3)])
+    @pytest.mark.parametrize("n", [1500, 3000])
+    def test_build_holds_the_index_and_per_band_scratch(self, bands, rows, n):
+        predictor = MinHashLinkPredictor(SketchConfig(k=64, seed=3))
+        predictor.process(erdos_renyi(n, 4 * n, seed=3))
+        arrays = predictor.export_arrays()
+        indexed = int(np.count_nonzero(arrays.degrees >= 1))
+        tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        index = LshCandidateIndex(arrays, bands=bands, rows=rows, min_degree=1)
+        after, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        held = after - before
+        # 16 KiB covers the Python objects around the arrays.
+        assert held <= 4 * bands * indexed + 24 * index.bucket_count() + 16384
+        assert index.nbytes() <= held <= index.nbytes() + 16384
+        # One band's hashing and sorting at a time: a bound in n alone.
+        assert peak - before <= held + 128 * len(arrays.vertex_ids)

@@ -74,6 +74,7 @@ ENGINE_STATS_KEYS = {
     "index_bands",
     "index_buckets",
     "index_build_seconds",
+    "index_bytes",
     "index_built",
     "index_rows",
     "k",
@@ -203,6 +204,8 @@ class TestEngineStatsSchema:
         assert stats["candidates_pruned"] == 0
         assert stats["index_built"] is True
         assert stats["index_buckets"] == 45
+        # An int32 member per (vertex, band), 16 bytes per bucket.
+        assert stats["index_bytes"] == 4 * 5 * 16 + 16 * 45
         assert stats["index_bands"] == 16
         assert stats["index_rows"] == 1
 

@@ -193,3 +193,14 @@ class TestLifecycle:
         assert stats["candidates_pruned"] >= 0
         # Flat dict: every value is a scalar (the monitoring contract).
         assert all(not isinstance(v, (dict, list)) for v in stats.values())
+
+    def test_index_bytes_gauge(self):
+        engine = QueryEngine(warm_predictor())
+        gauge = engine.metrics.get("query_index_bytes")
+        assert gauge.value == engine.stats()["index_bytes"] == 0
+        engine.top_k(0, "jaccard", k=3)
+        held = engine._index.nbytes()
+        assert held > 0
+        assert gauge.value == engine.stats()["index_bytes"] == held
+        engine.refresh()
+        assert gauge.value == 0
