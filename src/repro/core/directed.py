@@ -3,8 +3,9 @@
 The paper folds directed datasets to undirected before sketching; this
 module keeps the directions.  Each vertex carries **two** MinHash
 sketches — one of its successor set, one of its predecessor set — plus
-two degree counters, and every estimator of
-:mod:`repro.core.estimators` applies per direction:
+two degree counters.  A query hands one direction's two rows and degree
+table to :func:`~repro.core.estimators.score_rows`, the per-pair
+estimator of the undirected predictors:
 
 * ``direction="out"``: measures over common *successors* — "u and v
   follow the same accounts" (homophily of interests);
@@ -28,13 +29,9 @@ from typing import Dict, Optional
 
 from repro.core.config import SketchConfig
 from repro.core.degrees import DegreeTracker, ExactDegrees
-from repro.core.estimators import (
-    common_neighbors_from_jaccard,
-    union_size_from_jaccard,
-    witness_sum_from_matches,
-)
-from repro.errors import ConfigurationError, SketchStateError
-from repro.exact.measures import Measure, measure_by_name
+from repro.core.estimators import score_rows
+from repro.errors import ConfigurationError
+from repro.exact.measures import measure_by_name
 from repro.graph.digraph import DirectedGraph
 from repro.hashing import HashBank
 from repro.interface import LinkPredictor
@@ -130,37 +127,14 @@ class DirectedMinHashPredictor(LinkPredictor):
         """
         _check_direction(direction)
         measure = measure_by_name(measure_name)
-        du = self.degree_directed(u, direction)
-        dv = self.degree_directed(v, direction)
-        if measure.kind == "degree_product":
-            return float(du * dv)
         su = self._sketches[direction].get(u)
         sv = self._sketches[direction].get(v)
-        if su is None or sv is None or du == 0 or dv == 0:
+        if su is None or sv is None:
             return 0.0
-        j = su.jaccard(sv)
-        if measure.name == "jaccard":
-            return j
-        if measure.kind == "overlap_ratio":
-            intersection = common_neighbors_from_jaccard(j, du, dv)
-            return measure.ratio(intersection, du, dv)  # type: ignore[misc]
-        if measure.name == "common_neighbors":
-            return common_neighbors_from_jaccard(j, du, dv)
-        if not self.config.track_witnesses:
-            raise SketchStateError(
-                f"measure {measure_name!r} needs witness tracking; "
-                "construct with SketchConfig(track_witnesses=True)"
-            )
-        union = union_size_from_jaccard(j, du, dv)
-        degrees = self._degrees[direction]
-        witness_degrees = (
-            degrees.get(int(w)) for w in su.matching_witnesses(sv)
+        get = self._degrees[direction].get
+        return score_rows(
+            measure, su.values, sv.values, su.witnesses, get(u), get(v), get, self.config.k
         )
-        raw = witness_sum_from_matches(
-            union, witness_degrees, measure.witness_weight, self.config.k
-        )
-        ceiling = min(du, dv) * measure.witness_weight(2)  # type: ignore[misc]
-        return min(raw, ceiling)
 
     @property
     def vertex_count(self) -> int:

@@ -10,9 +10,10 @@ account of arrivals and retractions — from which an ordinary
 :class:`~repro.sketches.minhash.KMinHash` view of the *live* neighbor
 set is materialized on demand.  Every query therefore reflects adds,
 deletes, and (with ``SketchConfig.ttl > 0``) TTL expiry against the
-stream's high-water timestamp, while scoring itself reuses the
-append-only estimator algebra through a throwaway view — the same trick
-:class:`~repro.core.windowed.WindowedMinHashPredictor` uses.
+stream's high-water timestamp.  A query scores the two materialized
+live rows, with live degrees, through
+:func:`~repro.core.estimators.score_rows`, the per-pair estimator the
+append-only predictor uses.
 
 The merge algebra is a ℤ-module (counts add, last-seen times max), so
 sharded ingestion with deletes stays exact: serial and merge-folded
@@ -33,7 +34,8 @@ import numpy as np
 
 from repro.core.block import apply_dynamic_block
 from repro.core.config import SketchConfig
-from repro.core.predictor import MinHashLinkPredictor, PairEstimate, SketchArrays
+from repro.core.estimators import rows_jaccard, score_rows
+from repro.core.predictor import PairEstimate, SketchArrays
 from repro.errors import ConfigurationError, SketchStateError
 from repro.exact.measures import measure_by_name
 from repro.graph.stream import StreamRecord
@@ -195,29 +197,22 @@ class DynamicMinHashPredictor(LinkPredictor):
         """Vertices with any accounted activity (live or not)."""
         return len(self._sketches)
 
-    def _view(self, u: int, v: int) -> Optional[MinHashLinkPredictor]:
-        """A throwaway append-only view holding the two endpoints'
-        materialized live sketches, scored by the standard estimator
-        path with live degrees for every vertex."""
+    def _live_rows(self, u: int, v: int) -> Optional[tuple]:
+        """The pair's materialized live ``(values_u, values_v,
+        witnesses_u)`` rows, or ``None`` if either endpoint has no
+        account."""
         su = self._sketches.get(u)
         sv = self._sketches.get(v)
         if su is None or sv is None:
             return None
-        now = self.now
-        ttl = self.config.ttl
-        return MinHashLinkPredictor._view(
-            self.config,
-            self.bank,
-            {u: su.materialize(now, ttl), v: sv.materialize(now, ttl)},
-            self.degree,
-        )
+        now, ttl = self.now, self.config.ttl
+        live_u, live_v = su.materialize(now, ttl), sv.materialize(now, ttl)
+        return live_u.values, live_v.values, live_u.witnesses
 
     def jaccard(self, u: int, v: int) -> float:
         """MinHash estimate of ``J`` over the *live* neighbor sets."""
-        view = self._view(u, v)
-        if view is None:
-            return 0.0
-        return view.jaccard(u, v)
+        rows = self._live_rows(u, v)
+        return 0.0 if rows is None else rows_jaccard(rows[0], rows[1], self.config.k)
 
     def score(self, u: int, v: int, measure_name: str) -> float:
         """Estimate any registered measure against the live graph.
@@ -226,20 +221,20 @@ class DynamicMinHashPredictor(LinkPredictor):
         endpoint never active (or no longer live) scores 0.0; queries
         never raise ``KeyError``.
         """
-        view = self._view(u, v)
-        if view is None:
-            # Still validate the measure name: unknown measures raise
-            # regardless of which vertices have been seen.
-            measure_by_name(measure_name)
+        measure = measure_by_name(measure_name)
+        rows = self._live_rows(u, v)
+        if rows is None:
             return 0.0
-        return view.score(u, v, measure_name)
+        return score_rows(
+            measure, *rows, self.degree(u), self.degree(v), self.degree, self.config.k
+        )
 
     def estimate(self, u: int, v: int) -> PairEstimate:
-        """All paper measures for one pair over the live graph."""
-        view = self._view(u, v)
-        if view is None:
-            view = MinHashLinkPredictor(self.config)
-        return view.estimate(u, v)
+        """All paper measures for one pair over the live graph; an
+        endpoint with no account zeroes every field, degrees included."""
+        rows = self._live_rows(u, v)
+        du, dv = (0, 0) if rows is None else (self.degree(u), self.degree(v))
+        return PairEstimate.from_rows(u, v, rows, du, dv, self.degree, self.config.k)
 
     # ------------------------------------------------------------------
     # Export

@@ -43,15 +43,28 @@ the expression algebraically reduces to the closed form above).
 (``CN ≤ min(d(u), d(v))``, ``J ≤ 1``, sums ≥ 0).  Clamping can only
 move an estimate closer to a truth that respects the same constraint,
 so it never hurts and the accuracy experiments use the clamped values.
+
+:func:`score_rows` composes these into one pair's score from its two
+k-slot rows.  Every sketch predictor's per-pair query ends there (the
+append-only, windowed, dynamic and directed ones); the batch kernel
+:func:`repro.serve.kernels.score_pairs_packed` is its array twin.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-from repro.errors import ConfigurationError
+import numpy as np
+
+from repro.errors import ConfigurationError, SketchStateError
+from repro.sketches.minhash import EMPTY_SLOT
+
+if TYPE_CHECKING:
+    from repro.exact.measures import Measure
 
 __all__ = [
+    "score_rows",
+    "rows_jaccard",
     "union_size_from_jaccard",
     "common_neighbors_from_jaccard",
     "witness_sum_from_matches",
@@ -142,6 +155,66 @@ def jaccard_std_error(jaccard: float, k: int) -> float:
     if k < 1:
         raise ConfigurationError(f"k must be positive, got {k}")
     return (jaccard * (1.0 - jaccard) / k) ** 0.5
+
+
+def rows_jaccard(values_u: np.ndarray, values_v: np.ndarray, k: int) -> float:
+    """``Ĵ``: the fraction of the ``k`` slots where two rows hold the
+    same non-empty minimum (an empty slot carries no sample)."""
+    return float(np.count_nonzero(_slot_matches(values_u, values_v))) / k
+
+
+def score_rows(
+    measure: "Measure",
+    values_u: np.ndarray,
+    values_v: np.ndarray,
+    witnesses_u: Optional[np.ndarray],
+    du: int,
+    dv: int,
+    degree_of: Callable[[int], int],
+    k: int,
+) -> float:
+    """One pair's estimate of ``measure`` from its two k-slot rows.
+
+    ``values_u``/``values_v`` are the endpoints' slot minima,
+    ``witnesses_u`` u's slot witnesses (``None`` without witness
+    tracking), ``du``/``dv`` their degrees and ``degree_of`` the degree
+    of any witness.  The caller has already applied the unseen-vertex
+    policy.  Zero-degree endpoints score 0.0 for everything but the
+    degree product, and witness sums other than common neighbors raise
+    :class:`~repro.errors.SketchStateError` without witnesses.
+    """
+    if measure.kind == "degree_product":
+        return float(du * dv)
+    if du == 0 or dv == 0:
+        return 0.0
+    matches = _slot_matches(values_u, values_v)
+    j = float(np.count_nonzero(matches)) / k
+    if measure.name == "jaccard":
+        return j  # the direct, unbiased estimate — no degree plug-in
+    if measure.kind == "overlap_ratio":
+        intersection = common_neighbors_from_jaccard(j, du, dv)
+        return measure.ratio(intersection, du, dv)  # type: ignore[misc]
+    # Witness sums.  Common neighbors has the closed form; general
+    # weights go through the Horvitz–Thompson path over witnesses.
+    if measure.name == "common_neighbors":
+        return common_neighbors_from_jaccard(j, du, dv)
+    if witnesses_u is None:
+        raise SketchStateError(
+            f"measure {measure.name!r} needs witness tracking; "
+            "construct with SketchConfig(track_witnesses=True)"
+        )
+    union = union_size_from_jaccard(j, du, dv)
+    witness_degrees = map(degree_of, witnesses_u[matches].tolist())
+    raw = witness_sum_from_matches(union, witness_degrees, measure.witness_weight, k)
+    # A witness-sum cannot exceed min(du, dv) times the largest
+    # possible per-witness weight; common weights peak at degree 2.
+    ceiling = min(du, dv) * measure.witness_weight(2)  # type: ignore[misc]
+    return min(raw, ceiling)
+
+
+def _slot_matches(values_u: np.ndarray, values_v: np.ndarray) -> np.ndarray:
+    # Equal to a non-empty minimum implies the other side is non-empty.
+    return (values_u != EMPTY_SLOT) & (values_u == values_v)
 
 
 def _check_jaccard(jaccard: float) -> None:

@@ -19,11 +19,13 @@ is ``16k + 8`` bytes per vertex, *constant space per vertex*.  Those
 are the two headline resource claims of the abstract, and benchmarks
 E2/E4 measure them.
 
-Queries combine the pair's sketch collisions with degrees through the
-estimator algebra of :mod:`repro.core.estimators`; the supported
-measures are exactly the registry of :mod:`repro.exact.measures`, so
-any experiment can ask the sketch and the exact oracle the *same*
-question by name.
+A query looks up the pair's two rows (an unseen endpoint scores 0.0)
+and hands them, with the degrees, to
+:func:`~repro.core.estimators.score_rows`, the one per-pair estimator
+that the windowed, dynamic and directed predictors call too.  The
+supported measures are exactly the registry of
+:mod:`repro.exact.measures`, so any experiment can ask the sketch and
+the exact oracle the *same* question by name.
 
 Example
 -------
@@ -40,7 +42,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from types import SimpleNamespace
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -52,11 +53,11 @@ from repro.core.estimators import (
     clamp_intersection,
     common_neighbors_from_jaccard,
     jaccard_std_error,
-    union_size_from_jaccard,
-    witness_sum_from_matches,
+    rows_jaccard,
+    score_rows,
 )
 from repro.errors import ConfigurationError, SketchStateError
-from repro.exact.measures import Measure, measure_by_name
+from repro.exact.measures import measure_by_name
 from repro.hashing import HashBank
 from repro.interface import LinkPredictor
 from repro.sketches.minhash import EMPTY_SLOT, NO_WITNESS, KMinHash
@@ -115,6 +116,23 @@ class PairEstimate:
     degree_u: int
     degree_v: int
     jaccard_std_error: float
+
+    @classmethod
+    def from_rows(
+        cls, u: int, v: int, rows: Optional[tuple], du: int, dv: int, degree_of, k: int
+    ) -> "PairEstimate":
+        """The estimate from the pair's ``(values_u, values_v,
+        witnesses_u)`` rows, as :func:`~repro.core.estimators.score_rows`
+        takes them; ``rows=None`` (an unseen endpoint) scores 0.0."""
+        j = aa = ra = 0.0
+        if rows is not None:
+            j = rows_jaccard(rows[0], rows[1], k)
+            aa, ra = (
+                score_rows(measure_by_name(name), *rows, du, dv, degree_of, k)
+                for name in ("adamic_adar", "resource_allocation")
+            )
+        cn = clamp_intersection(common_neighbors_from_jaccard(j, du, dv), du, dv)
+        return cls(u, v, j, cn, aa, ra, du, dv, jaccard_std_error(j, k))
 
 
 class MinHashLinkPredictor(LinkPredictor):
@@ -309,22 +327,21 @@ class MinHashLinkPredictor(LinkPredictor):
             update_count=int(self._counts[row]),
         )
 
-    def _matches(self, row_u: int, row_v: int) -> np.ndarray:
-        """Slots where both rows hold the same non-empty minimum."""
-        a = self._values[row_u]
-        b = self._values[row_v]
-        return (a != EMPTY_SLOT) & (b != EMPTY_SLOT) & (a == b)
-
-    def jaccard(self, u: int, v: int) -> float:
-        """Unbiased MinHash estimate of ``J(N(u), N(v))``."""
+    def _pair_rows(self, u: int, v: int) -> Optional[tuple]:
+        """The pair's ``(values_u, values_v, witnesses_u)`` rows, or
+        ``None`` if either endpoint is unseen."""
         row_u = self._rows.get(u)
         row_v = self._rows.get(v)
         if row_u is None or row_v is None:
-            return 0.0
-        # An empty sketch summarises the empty set: Ĵ = 0 (KMinHash.jaccard).
-        if self._counts[row_u] == 0 or self._counts[row_v] == 0:
-            return 0.0
-        return float(np.count_nonzero(self._matches(row_u, row_v))) / self.config.k
+            return None
+        witnesses = None if self._witnesses is None else self._witnesses[row_u]
+        return self._values[row_u], self._values[row_v], witnesses
+
+    def jaccard(self, u: int, v: int) -> float:
+        """Unbiased MinHash estimate of ``J(N(u), N(v))``; an empty
+        sketch summarises the empty set, so Ĵ = 0."""
+        rows = self._pair_rows(u, v)
+        return 0.0 if rows is None else rows_jaccard(rows[0], rows[1], self.config.k)
 
     def score(self, u: int, v: int, measure_name: str) -> float:
         """Estimate any registered measure for the pair (see module
@@ -341,65 +358,21 @@ class MinHashLinkPredictor(LinkPredictor):
         degree); zero-degree endpoints score 0.0.
         """
         measure = measure_by_name(measure_name)
-        return self._score(u, v, measure)
-
-    def _score(self, u: int, v: int, measure: Measure) -> float:
         # Policy: unseen vertex => 0.0 for every measure, checked before
         # any degree lookup so approximate degree tables cannot invent a
         # score for a vertex that was never sketched.
-        if u not in self._rows or v not in self._rows:
+        rows = self._pair_rows(u, v)
+        if rows is None:
             return 0.0
-        du = self.degree(u)
-        dv = self.degree(v)
-        if measure.kind == "degree_product":
-            return float(du * dv)
-        if du == 0 or dv == 0:
-            return 0.0
-        j = self.jaccard(u, v)
-        if measure.name == "jaccard":
-            return j  # the direct, unbiased estimate — no degree plug-in
-        if measure.kind == "overlap_ratio":
-            intersection = common_neighbors_from_jaccard(j, du, dv)
-            return measure.ratio(intersection, du, dv)  # type: ignore[misc]
-        # Witness sums.  Common neighbors has the closed form; general
-        # weights go through the Horvitz–Thompson path over witnesses.
-        if measure.name == "common_neighbors":
-            return common_neighbors_from_jaccard(j, du, dv)
-        if not self.config.track_witnesses:
-            raise SketchStateError(
-                f"measure {measure.name!r} needs witness tracking; "
-                "construct with SketchConfig(track_witnesses=True)"
-            )
-        union = union_size_from_jaccard(j, du, dv)
-        row_u = self._rows[u]
-        witnesses = self._witnesses[row_u][self._matches(row_u, self._rows[v])]
-        witness_degrees = map(self._degrees.get, witnesses.tolist())
-        raw = witness_sum_from_matches(
-            union, witness_degrees, measure.witness_weight, self.config.k
-        )
-        # A witness-sum cannot exceed min(du, dv) times the largest
-        # possible per-witness weight; common weights peak at degree 2.
-        ceiling = min(du, dv) * measure.witness_weight(2)  # type: ignore[misc]
-        return min(raw, ceiling)
+        get = self._degrees.get
+        return score_rows(measure, *rows, get(u), get(v), get, self.config.k)
 
     def estimate(self, u: int, v: int) -> PairEstimate:
         """All three paper measures (plus RA) for one pair, with the
-        Jaccard standard error, in a single sketch comparison."""
-        j = self.jaccard(u, v)
-        du = self.degree(u)
-        dv = self.degree(v)
-        return PairEstimate(
-            u=u,
-            v=v,
-            jaccard=j,
-            common_neighbors=clamp_intersection(
-                common_neighbors_from_jaccard(j, du, dv), du, dv
-            ),
-            adamic_adar=self.score(u, v, "adamic_adar"),
-            resource_allocation=self.score(u, v, "resource_allocation"),
-            degree_u=du,
-            degree_v=dv,
-            jaccard_std_error=jaccard_std_error(j, self.config.k),
+        Jaccard standard error."""
+        return PairEstimate.from_rows(
+            u, v, self._pair_rows(u, v), self.degree(u), self.degree(v), self._degrees.get,
+            self.config.k,
         )
 
     # ------------------------------------------------------------------
@@ -434,13 +407,6 @@ class MinHashLinkPredictor(LinkPredictor):
         if config.degree_mode != "exact":
             raise SketchStateError("from_arrays requires exact degrees")
         degrees = _exact_degrees(arrays.vertex_ids, arrays.degrees)
-        return cls._over(config, HashBank(config.seed, config.k), arrays, degrees)
-
-    @classmethod
-    def _over(
-        cls, config: SketchConfig, bank: HashBank, arrays: SketchArrays, degrees: DegreeTracker
-    ) -> "MinHashLinkPredictor":
-        """A predictor adopting ``arrays``' rows (no copy), reading ``degrees``."""
         n, k = len(arrays.vertex_ids), config.k
         shapes = (arrays.values.shape, getattr(arrays.witnesses, "shape", None))
         if shapes + (arrays.update_counts.shape,) != (
@@ -448,29 +414,14 @@ class MinHashLinkPredictor(LinkPredictor):
         ):
             raise SketchStateError(f"sketch arrays do not fit {n} vertices of {config}")
         predictor = cls.__new__(cls)
-        predictor.config, predictor.bank, predictor._degrees = config, bank, degrees
+        predictor.config, predictor.bank = config, HashBank(config.seed, config.k)
+        predictor._degrees = degrees
         dtypes = (np.int64, np.uint64, np.int64, np.int64)
         owned = [a if a is None else np.require(a, t, ["C", "W"]) for a, t in zip(arrays, dtypes)]
         predictor._adopt(*owned)
         if len(predictor._rows) != n:
             raise SketchStateError("sketch arrays repeat a vertex id")
         return predictor
-
-    @classmethod
-    def _view(
-        cls, config: SketchConfig, bank: HashBank, sketches: Dict[int, KMinHash], degree_of
-    ) -> "MinHashLinkPredictor":
-        """A throwaway predictor over copies of a few sketches, every degree
-        read from ``degree_of``: how windowed and dynamic predictors score."""
-        rows = list(sketches.values())
-        arrays = SketchArrays(
-            np.array(list(sketches), dtype=np.int64),
-            np.stack([sketch.values for sketch in rows]),
-            np.stack([sketch.witnesses for sketch in rows]) if config.track_witnesses else None,
-            np.array([sketch.update_count for sketch in rows], dtype=np.int64),
-            None,
-        )
-        return cls._over(config, bank, arrays, SimpleNamespace(get=degree_of))
 
     # ------------------------------------------------------------------
     # Distribution

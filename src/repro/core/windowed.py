@@ -37,6 +37,7 @@ from collections import deque
 from typing import Deque, Optional
 
 from repro.core.config import SketchConfig
+from repro.core.estimators import score_rows
 from repro.core.predictor import MinHashLinkPredictor
 from repro.errors import ConfigurationError
 from repro.exact.measures import measure_by_name
@@ -132,25 +133,19 @@ class WindowedMinHashPredictor(LinkPredictor):
         return merged
 
     def score(self, u: int, v: int, measure_name: str) -> float:
-        """Any registered measure, evaluated over the window.
-
-        Implementation: materialise the two merged window sketches and
-        delegate to a throwaway single-store view that shares this
-        window's degrees — the estimator algebra is identical.
-        """
+        """Any registered measure, evaluated over the window: the two
+        merged window rows and window degrees go through
+        :func:`~repro.core.estimators.score_rows`, and a vertex absent
+        from every pane scores 0.0."""
         measure = measure_by_name(measure_name)
-        du = self.degree(u)
-        dv = self.degree(v)
-        if measure.kind == "degree_product":
-            return float(du * dv)
         su = self._window_sketch(u)
         sv = self._window_sketch(v)
-        if su is None or sv is None or du == 0 or dv == 0:
+        if su is None or sv is None:
             return 0.0
-        view = MinHashLinkPredictor._view(
-            self.config, self._stores[-1].bank, {u: su, v: sv}, self.degree
+        return score_rows(
+            measure, su.values, sv.values, su.witnesses, self.degree(u), self.degree(v),
+            self.degree, self.config.k,
         )
-        return view.score(u, v, measure_name)
 
     @property
     def vertex_count(self) -> int:

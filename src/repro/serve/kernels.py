@@ -3,9 +3,11 @@
 One function, :func:`score_pairs_packed`, evaluates any registered
 :class:`~repro.exact.measures.Measure` for a whole batch of vertex
 pairs against a :class:`~repro.serve.packed.PackedSketches` snapshot —
-the batch analogue of
-:meth:`MinHashLinkPredictor._score <repro.core.predictor.MinHashLinkPredictor>`,
-kept in lockstep with it by the consistency suite:
+the batch twin of the per-pair estimator
+:func:`~repro.core.estimators.score_rows`, kept in lockstep with it by
+the parity tests.  The two stay separate on purpose: a one-pair call
+through this array code costs 3–5x the scalar path, so ``score`` runs
+one pair and ``score_many`` a batch.
 
 * slot collisions are one broadcast equality over ``(m, k)`` slices of
   the packed ``values`` matrix (a slot matches iff both minima are

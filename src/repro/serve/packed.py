@@ -223,11 +223,10 @@ class PackedSketches(object):
         return fold_sketch_arrays([SketchArrays(*arrays)], config)  # copies: the pack stays frozen
 
     def nominal_bytes(self) -> int:
-        """Packed size of the matrices (the serving-tier memory cost)."""
-        total = self.values.nbytes + self.degrees.nbytes + self.vertex_ids.nbytes
-        if self.witnesses is not None:
-            total += self.witnesses.nbytes
-        return total
+        """Packed size of every array the pack holds (the serving-tier
+        memory cost)."""
+        arrays = (self.vertex_ids, self.values, self.witnesses, self.degrees, self.update_counts)
+        return sum(array.nbytes for array in arrays if array is not None)
 
     def __repr__(self) -> str:
         return (

@@ -14,6 +14,9 @@ from repro.serve import QueryEngine
 from repro.serve.packed import PackedSketches
 
 ALL_MEASURES = sorted(MEASURES)
+#: Measures summed over witness weights: the only ones where the scalar
+#: and batch paths may differ, in the last bits.
+WITNESS_SUMS = ("adamic_adar", "resource_allocation")
 
 
 def warm_predictor(k=48, seed=11, n=70, m=320, **overrides):
@@ -41,7 +44,12 @@ class TestScoreManyParity:
         scalar = np.array(
             [engine.predictor.score(u, v, measure) for u, v in query_pairs]
         )
-        np.testing.assert_allclose(batch, scalar, rtol=1e-12, atol=1e-12)
+        if measure in WITNESS_SUMS:
+            # Python's sequential sum and NumPy's pairwise sum(axis=1)
+            # round the witness weights differently (~4e-16 relative).
+            np.testing.assert_allclose(batch, scalar, rtol=1e-12, atol=0)
+        else:
+            assert np.array_equal(batch, scalar)
 
     def test_accepts_ndarray_input(self, engine, query_pairs):
         as_list = engine.score_many(query_pairs, "jaccard")

@@ -51,6 +51,15 @@ class TestPacking:
         assert store.witnesses is None
         assert store.nominal_bytes() > 0
 
+    @pytest.mark.parametrize("track", [True, False])
+    def test_nominal_bytes_counts_every_array(self, track):
+        store = PackedSketches.from_predictor(warm_predictor(track_witnesses=track))
+        held = [store.vertex_ids, store.values, store.witnesses, store.degrees,
+                store.update_counts]
+        assert store.nominal_bytes() == sum(a.nbytes for a in held if a is not None)
+        n, k = store.n_vertices, store.k
+        assert store.nominal_bytes() == n * (k * (16 if track else 8) + 24)
+
     def test_empty_predictor_packs_empty(self):
         store = PackedSketches.from_predictor(
             MinHashLinkPredictor(SketchConfig(k=8, seed=1))
