@@ -157,7 +157,6 @@ def main(argv=None) -> int:
         config=SketchConfig(k=32, seed=arguments.seed, track_witnesses=True),
         checkpoint_manager=CheckpointManager(workdir / "checkpoints"),
         checkpoint_every=50_000,  # the drain writes the one that matters
-        batch_size=1024,
     )
     server = SketchServer(
         runner=runner,

@@ -6,8 +6,9 @@ through three ingestion arms —
 * **scalar** — ``predictor.update(u, v)`` per edge (the E4 baseline);
 * **block** — ``predictor.update_block`` in spans of ``--batch-size``
   edges (the vectorized kernel);
-* **sharded-block** — the :class:`~repro.parallel.ShardedRunner` with
-  the same batch size across worker processes.
+* **sharded-block** — the :class:`~repro.parallel.ShardedRunner`,
+  whose worker processes fold each routed chunk through
+  ``update_block``.
 
 Two properties are checked, with different teeth:
 
@@ -74,13 +75,11 @@ def _block_arm(edges, k, batch_size):
     return time.perf_counter() - started, predictor
 
 
-def _sharded_arm(edges, k, batch_size, workers):
+def _sharded_arm(edges, k, workers):
     from repro.api import ingest
 
     started = time.perf_counter()
-    report = ingest(
-        edges, config=SketchConfig(k=k, seed=1), workers=workers, batch_size=batch_size
-    )
+    report = ingest(edges, config=SketchConfig(k=k, seed=1), workers=workers)
     return time.perf_counter() - started, report.predictor
 
 
@@ -110,7 +109,7 @@ def main(argv=None):
         fingerprints["block"] = sketch_fingerprint(predictor)
     # The sharded arm forks worker processes — once is enough for the
     # identity gate, and its timing is informational below 4 cores.
-    seconds, predictor = _sharded_arm(edges, args.k, args.batch_size, workers)
+    seconds, predictor = _sharded_arm(edges, args.k, workers)
     sharded_best = min(sharded_best, seconds)
     fingerprints["sharded_block"] = sketch_fingerprint(predictor)
 

@@ -120,6 +120,13 @@ class IngestReport:
         return int(self.stats.get("records_ok", 0))
 
 
+def _check_batch_size(batch_size: int) -> None:
+    """Validate the deprecated ``batch_size`` knob, which has no effect:
+    every accepted chunk folds through the block kernel."""
+    if batch_size < 0:
+        raise ConfigurationError(f"batch_size must be >= 0, got {batch_size}")
+
+
 def _resolve_source(source: SourceLike, seed: int, *, max_retries: int = 0):
     """Turn any source-like value into an :class:`EdgeSource`."""
     from repro.stream.sources import (
@@ -189,13 +196,11 @@ def ingest(
     ``"duplicate_edge=normalize,hub_anomaly=strict"``, ...).  ``None``
     keeps the legacy parse-level contract.  See ``docs/CASEBOOK.md``.
 
-    ``batch_size > 1`` routes accepted edges through the vectorized
-    block-ingest kernel
-    (:meth:`~repro.core.predictor.MinHashLinkPredictor.update_block`)
-    in spans of up to that many edges — several times faster at scale
-    and bit-identical to scalar ingestion (guard ordering, checkpoints
-    and crash recovery included).  ``0``/``1`` keeps the scalar
-    per-record path.
+    Accepted records always fold through the vectorized block-ingest
+    kernel (:meth:`~repro.core.predictor.MinHashLinkPredictor.update_block`),
+    one call per admitted chunk, bit-identical to a per-record
+    ``update`` loop.  ``batch_size`` is deprecated: it is checked to be
+    non-negative and otherwise ignored.
 
     ``config.dynamic_mode=True`` builds the deletion-tolerant
     :class:`~repro.core.dynamic.DynamicMinHashPredictor` instead:
@@ -208,6 +213,7 @@ def ingest(
     from repro.stream.checkpoint import CheckpointManager
     from repro.stream.runner import StreamRunner
 
+    _check_batch_size(batch_size)
     resolved = _resolve_source(source, seed, max_retries=max_retries)
     common = dict(
         config=config,
@@ -215,7 +221,6 @@ def ingest(
         self_loops=self_loops,
         policies=policies,
         metrics=metrics,
-        batch_size=batch_size,
     )
     if workers > 1:
         from repro.parallel import ShardedRunner
@@ -381,14 +386,16 @@ def serve(
       ``resume=True`` restores from them before serving.
 
     ``port=0`` binds an ephemeral port (read ``server.port`` once
-    ready).  Ingest knobs (``policy``, ``policies``, ``batch_size``,
-    ``max_retries``, ...) match :func:`ingest`; extra keyword options
-    pass through to :class:`~repro.serve.server.SketchServer`
-    (``keep_history``, ``stale_after``, ``engine_options``, ...).
+    ready).  Ingest knobs (``policy``, ``policies``, ``max_retries``,
+    ...) match :func:`ingest`, the deprecated ``batch_size`` included;
+    extra keyword options pass through to
+    :class:`~repro.serve.server.SketchServer` (``keep_history``,
+    ``stale_after``, ``engine_options``, ...).
     See ``docs/OPERATIONS.md`` ("Running the server") for the runbook.
     """
     from repro.serve.server import SketchServer
 
+    _check_batch_size(batch_size)
     if (target is None) == (source is None):
         raise ConfigurationError(
             "serve needs exactly one of target (static serving) or "
@@ -421,7 +428,6 @@ def serve(
         self_loops=self_loops,
         policies=policies,
         metrics=metrics,
-        batch_size=batch_size,
     )
     if resume:
         runner.resume()

@@ -388,7 +388,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         self_loops=args.self_loops,
         guard=_ingest_guard(args, config),
         metrics=registry,
-        batch_size=args.batch_size,
     )
     title = f"Ingest: {args.source}"
     if args.workers > 1:
@@ -595,7 +594,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             policy=args.policy,
             self_loops=args.self_loops,
             policies=policies,
-            batch_size=args.batch_size,
             max_retries=args.max_retries,
             seed=args.seed,
             announce=lambda url: print(f"serving {url}", flush=True),
@@ -1048,16 +1046,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument(
         "--max-records", type=int, default=None, help="stop after N records (drills)"
     )
-    ingest.add_argument(
-        "--batch-size",
-        type=int,
-        default=0,
-        metavar="B",
-        help="block-ingest batch size: fold accepted edges through the "
-        "vectorized update_block kernel in spans of up to B edges "
-        "(bit-identical to scalar ingest; 0/1: per-record updates; "
-        "try 4096)",
-    )
     _add_metrics_arguments(ingest)
     ingest.set_defaults(run=_cmd_ingest)
 
@@ -1196,13 +1184,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         metavar="SPEC",
         help="casebook per-case policies for live ingest (see 'ingest')",
-    )
-    serve.add_argument(
-        "--batch-size",
-        type=int,
-        default=0,
-        metavar="B",
-        help="block-ingest batch size for live ingest (0/1: scalar)",
     )
     serve.add_argument(
         "--max-retries",

@@ -230,11 +230,13 @@ class DynamicMinHashPredictor(LinkPredictor):
         )
 
     def estimate(self, u: int, v: int) -> PairEstimate:
-        """All paper measures for one pair over the live graph; an
-        endpoint with no account zeroes every field, degrees included."""
-        rows = self._live_rows(u, v)
-        du, dv = (0, 0) if rows is None else (self.degree(u), self.degree(v))
-        return PairEstimate.from_rows(u, v, rows, du, dv, self.degree, self.config.k)
+        """All paper measures for one pair over the live graph.  As for
+        the append-only predictor, an endpoint with no account scores
+        0.0 and each degree field is that endpoint's live degree."""
+        return PairEstimate.from_rows(
+            u, v, self._live_rows(u, v), self.degree(u), self.degree(v), self.degree,
+            self.config.k,
+        )
 
     # ------------------------------------------------------------------
     # Export

@@ -36,6 +36,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional
 
+import numpy as np
+
 from repro.core.config import SketchConfig
 from repro.core.estimators import score_rows
 from repro.core.predictor import MinHashLinkPredictor
@@ -149,11 +151,10 @@ class WindowedMinHashPredictor(LinkPredictor):
 
     @property
     def vertex_count(self) -> int:
-        """Vertices present in at least one live pane."""
-        seen = set()
-        for store in self._stores:
-            seen.update(store.export_arrays().vertex_ids.tolist())
-        return len(seen)
+        """Vertices present in at least one live pane: the union of
+        the panes' live id columns."""
+        ids = [store._ids[: store.vertex_count] for store in self._stores]
+        return len(np.unique(np.concatenate(ids)))
 
     @property
     def window_edges(self) -> int:

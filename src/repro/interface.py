@@ -8,7 +8,8 @@ object and nothing else.
 The contract mirrors the paper's problem statement:
 
 * :meth:`LinkPredictor.update` consumes one stream edge (amortised
-  constant time for the sketch methods);
+  constant time for the sketch methods), and
+  :meth:`LinkPredictor.update_block` a batch of them in order;
 * :meth:`LinkPredictor.score` answers an online pairwise query for any
   registered :class:`~repro.exact.measures.Measure`;
 * :meth:`LinkPredictor.nominal_bytes` reports the summary's packed
@@ -81,6 +82,18 @@ class LinkPredictor(ABC):
             self.update(edge.u, edge.v)
             count += 1
         return count
+
+    def update_block(self, us, vs) -> int:
+        """Consume a batch of edges in order; returns the edge count.
+
+        This default is the :meth:`update` loop.  The stream runners
+        hand every accepted chunk to ``update_block``, so a method with
+        a vectorized kernel overrides it with one that ends in the same
+        state as this loop.
+        """
+        for u, v in zip(us, vs):
+            self.update(int(u), int(v))
+        return len(us)
 
     def scores(self, u: int, v: int, measure_names: Sequence[str]) -> Dict[str, float]:
         """Estimate several measures for one pair in one call."""

@@ -121,10 +121,6 @@ class ShardedRunner:
         chunks instead of buffering the stream unboundedly.  The
         coordinator admits ``chunk_records * workers`` source records
         at a time.
-    batch_size:
-        Each worker's span size, as for the serial runner (see
-        :class:`~repro.stream.admission.SpanFolder`); the merged result
-        is bit-identical to serial ingestion either way.
     mp_context:
         ``multiprocessing`` start-method name (``"fork"``/``"spawn"``);
         default is the platform default.  Workers are spawn-safe.
@@ -147,7 +143,6 @@ class ShardedRunner:
         metrics: Optional[MetricsRegistry] = None,
         chunk_records: int = 2048,
         queue_depth: int = 8,
-        batch_size: int = 0,
         mp_context: Optional[str] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -161,8 +156,6 @@ class ShardedRunner:
             raise ConfigurationError(f"chunk_records must be positive, got {chunk_records}")
         if queue_depth < 1:
             raise ConfigurationError(f"queue_depth must be positive, got {queue_depth}")
-        if batch_size < 0:
-            raise ConfigurationError(f"batch_size must be >= 0, got {batch_size}")
         self.source = source
         self.workers = workers
         self.config = config or SketchConfig()
@@ -172,7 +165,6 @@ class ShardedRunner:
         self.keep = keep
         self.chunk_records = chunk_records
         self.queue_depth = queue_depth
-        self.batch_size = batch_size
         self.mp_context = mp_context
         self.clock = clock
         #: Merged predictor; populated by :meth:`run`.
@@ -311,7 +303,6 @@ class ShardedRunner:
                     self.checkpoint_every,
                     self.keep,
                     self._resume_requested,
-                    self.batch_size,
                 ),
                 daemon=True,
                 name=f"repro-shard-{shard}",

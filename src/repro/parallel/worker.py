@@ -55,7 +55,7 @@ from repro.core.config import SketchConfig
 from repro.core.dynamic import DynamicArrays, DynamicMinHashPredictor
 from repro.errors import WorkerCrashError
 from repro.core.predictor import ROW_CHUNK, MinHashLinkPredictor
-from repro.stream.admission import SpanFolder
+from repro.stream.admission import fold_block
 from repro.stream.checkpoint import CheckpointManager
 
 __all__ = [
@@ -156,14 +156,14 @@ def shard_worker_main(
     checkpoint_every: int,
     keep: int,
     resume: bool,
-    batch_size: int = 0,
 ) -> None:
     """Entry point of one shard worker process (top-level: spawn-safe).
 
-    ``batch_size`` is the span size of the shard's
-    :class:`~repro.stream.admission.SpanFolder` (the serial runner's
-    sink), flushed at every checkpoint boundary so checkpoints land at
-    the scalar offsets and crash recovery stays bit-identical.
+    Each routed block folds into the shard's predictor at once
+    (:func:`~repro.stream.admission.fold_block`, the serial runner's
+    sink), cut only at the shard's checkpoint boundaries, so checkpoints
+    land at the per-record offsets and crash recovery stays
+    bit-identical.
     ``state_pipe`` is the send end of the shard's one-way state pipe.
     """
     try:
@@ -186,7 +186,6 @@ def shard_worker_main(
                 generation = checkpoint.generation
         result_queue.put(("ready", shard, offset, generation))
 
-        fold = SpanFolder(predictor, batch_size)
         records_ok = 0
         checkpoints_written = 0
         since_checkpoint = 0
@@ -201,18 +200,16 @@ def shard_worker_main(
                     stop = len(block.offsets)
                     if checkpoint_every:
                         stop = min(stop, start + checkpoint_every - since_checkpoint)
-                    fold.add_block(block.part(start, stop))
+                    fold_block(predictor, block.part(start, stop))
                     offset = int(block.offsets[stop - 1]) + 1
                     records_ok += stop - start
                     since_checkpoint += stop - start
                     start = stop
                     if checkpoint_every and since_checkpoint >= checkpoint_every:
-                        fold.flush()
                         manager.save(predictor, offset)
                         checkpoints_written += 1
                         since_checkpoint = 0
             elif kind in ("finish", "halt"):
-                fold.flush()  # the sent state reflects every record
                 if kind == "finish" and manager is not None and since_checkpoint:
                     manager.save(predictor, offset)
                     checkpoints_written += 1

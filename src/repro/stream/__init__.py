@@ -24,7 +24,10 @@ runtime:
   :func:`replay_dead_letters`, :func:`check_casebook`),
 * :mod:`~repro.stream.admission` — :class:`~repro.stream.admission.
   Admission`, the record contract every ingest path shares
-  (``source → Admission → sink``), and its ``SpanFolder`` sink,
+  (``source → Admission → sink``), and its sink ``fold_block``:
+  every accepted chunk folds into the predictor at once, through the
+  block kernel (``update_block``/``delete_block``), split only where
+  adds turn to deletes,
 * :mod:`~repro.stream.runner` — :class:`StreamRunner`, the consumer
   loop tying it together with exact crash recovery, and
 * :mod:`~repro.stream.faults` — :class:`FaultInjector`, the seeded

@@ -7,11 +7,11 @@ verdict: an accepted :class:`~repro.graph.stream.StreamRecord` goes on
 to the sink, anything else becomes a dead letter, a counted drop, or a
 :class:`~repro.errors.DeadLetterError` under ``policy="strict"``.  The
 sink is the only thing that differs between the runners — the serial
-:class:`~repro.stream.runner.StreamRunner` folds accepted records into
-a local predictor through :class:`SpanFolder`, the sharded
+:class:`~repro.stream.runner.StreamRunner` folds each accepted block
+into a local predictor with :func:`fold_block`, the sharded
 :class:`~repro.parallel.ShardedRunner` routes them to the worker that
-owns their shard (and the worker folds them through the same
-:class:`SpanFolder`).
+owns their shard (and the worker folds each routed block with the same
+:func:`fold_block`).
 
 Records arrive in chunks (:meth:`Admission.admit_chunk`).  The text
 lines of a chunk that pass a strict syntactic check are parsed in bulk
@@ -51,7 +51,9 @@ from repro.stream.deadletter import (
 from repro.stream.policies import PolicySet, StreamGuard
 from repro.stream.sources import EdgeSource, RetryingSource, SourceRecord
 
-__all__ = ["Admission", "AcceptedBlock", "SpanFolder", "CHUNK_RECORDS", "close_records"]
+__all__ = [
+    "Admission", "AcceptedBlock", "CHUNK_RECORDS", "close_records", "fold_block", "fold_run",
+]
 
 #: Records one :meth:`Admission.admit_chunk` call judges at most.
 CHUNK_RECORDS = 4096
@@ -398,88 +400,40 @@ class Admission:
         }
 
 
-class SpanFolder:
-    """Fold accepted records into a predictor, in spans of ``batch_size``.
+def fold_block(predictor, block: AcceptedBlock) -> None:
+    """Apply a block of accepted records to ``predictor``, in order.
 
-    Records are buffered and applied through the block-ingest kernel
-    (``update_block``/``delete_block``); a span ends when it reaches
-    ``batch_size`` records, when the op changes (the batched kernel
-    applies one op per call, so order across ops is kept exactly), and
-    whenever the owner calls :meth:`flush` — which it must before every
-    checkpoint and before handing the predictor out, so state reflects
-    every record it accepted.  A span of one record is applied with the
-    scalar ``update``/``delete`` (block setup costs more than it saves
-    on a single edge), so ``batch_size`` ``0``/``1`` is the scalar path.
-    Either way the result is bit-identical to scalar ingestion, per the
-    ``update_block`` contract, and the spans do not depend on how the
-    records arrive: one at a time (:meth:`add`) or in blocks
-    (:meth:`add_block`).
+    The block is split only where the op changes between add and
+    delete; each run goes through the predictor's
+    ``update_block``/``delete_block`` in one call (:func:`fold_run`),
+    which equals the per-record ``update``/``delete`` loop bit for bit.
     """
-
-    def __init__(self, predictor, batch_size: int) -> None:
-        self.predictor = predictor
-        self.batch_size = batch_size
-        self._parts: list = []
-        self._count = 0
-        self._delete = False
-
-    def add(self, delete: bool, u: int, v: int, timestamp: float) -> None:
-        """Buffer one accepted record (``delete`` marks a retraction)."""
-        self._extend(delete, [u], [v], [timestamp])
-
-    def add_block(self, block: AcceptedBlock) -> None:
-        """Buffer a block of accepted records, in order."""
-        deletes = block.deletes
-        cuts = (np.flatnonzero(deletes[1:] != deletes[:-1]) + 1).tolist()
-        for start, stop in zip([0] + cuts, cuts + [len(deletes)]):
-            self._extend(
-                bool(deletes[start]),
-                block.us[start:stop],
-                block.vs[start:stop],
-                block.timestamps[start:stop],
-            )
-
-    def _extend(self, delete: bool, us, vs, timestamps) -> None:
-        if delete != self._delete and self._count:
-            self.flush()
-        self._delete = delete
-        if self.batch_size <= 1:  # the scalar path: one record per span
-            for u, v, timestamp in zip(us, vs, timestamps):
-                self._apply(delete, [u], [v], [timestamp])
-            return
-        start, total = 0, len(us)
-        while start < total:
-            stop = min(total, start + self.batch_size - self._count)
-            self._parts.append((us[start:stop], vs[start:stop], timestamps[start:stop]))
-            self._count += stop - start
-            start = stop
-            if self._count >= self.batch_size:
-                self.flush()
-
-    def flush(self) -> None:
-        """Apply every buffered record to the predictor."""
-        if not self._count:
-            return
-        parts, self._parts, self._count = self._parts, [], 0
-        self._apply(
-            self._delete,
-            np.concatenate([part[0] for part in parts]),
-            np.concatenate([part[1] for part in parts]),
-            np.concatenate([part[2] for part in parts]),
+    deletes = block.deletes
+    cuts = (np.flatnonzero(deletes[1:] != deletes[:-1]) + 1).tolist()
+    for start, stop in zip([0] + cuts, cuts + [len(deletes)]):
+        fold_run(
+            predictor,
+            bool(deletes[start]),
+            block.us[start:stop],
+            block.vs[start:stop],
+            block.timestamps[start:stop],
         )
 
-    def _apply(self, delete: bool, us, vs, timestamps) -> None:
-        predictor = self.predictor
-        if not isinstance(predictor, DynamicMinHashPredictor):
-            # Append-only predictors never see a delete: admission
-            # dead-letters them before they reach a sink.
-            if len(us) == 1:
-                predictor.update(int(us[0]), int(vs[0]))
-            else:
-                predictor.update_block(us, vs)
-        elif len(us) == 1:
-            (predictor.delete if delete else predictor.update)(
-                int(us[0]), int(vs[0]), float(timestamps[0])
-            )
+
+def fold_run(predictor, delete: bool, us, vs, timestamps) -> None:
+    """Apply one run of same-op records: a single record through the
+    scalar ``update``/``delete`` (block setup costs more than it saves
+    on one edge), more through ``update_block``/``delete_block``."""
+    if not isinstance(predictor, DynamicMinHashPredictor):
+        # Append-only predictors never see a delete: admission
+        # dead-letters them before they reach a sink.
+        if len(us) == 1:
+            predictor.update(int(us[0]), int(vs[0]))
         else:
-            (predictor.delete_block if delete else predictor.update_block)(us, vs, timestamps)
+            predictor.update_block(us, vs)
+    elif len(us) == 1:
+        (predictor.delete if delete else predictor.update)(
+            int(us[0]), int(vs[0]), float(timestamps[0])
+        )
+    else:
+        (predictor.delete_block if delete else predictor.update_block)(us, vs, timestamps)

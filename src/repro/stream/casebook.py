@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.core.config import SketchConfig
 from repro.errors import ConfigurationError
-from repro.stream.admission import SpanFolder
+from repro.stream.admission import fold_run
 from repro.stream.deadletter import (
     DeadLetter,
     MemoryDeadLetters,
@@ -495,16 +495,16 @@ def replay_dead_letters(
     active = policies if policies is not None else PolicySet.uniform("normalize")
     applied = removed = 0
     still: Dict[str, int] = {}
-    # The runners' sink, record by record: a dynamic predictor replays
-    # the typed operation (a repaired record may be a retraction).
-    fold = SpanFolder(predictor, batch_size=0)
     for letter in sorted(letters, key=lambda entry: entry.offset):
         record = SourceRecord(letter.offset, letter.raw, letter.line_number)
         verdict = guard.evaluate(record, policies=active)
         outcome = _disposition_of(verdict)
         if outcome == "applied":
+            # The runners' sink, one record at a time: a dynamic
+            # predictor replays the typed operation (a repaired record
+            # may be a retraction).
             typed = verdict.record
-            fold.add(typed.op == "delete", typed.u, typed.v, typed.timestamp)
+            fold_run(predictor, typed.op == "delete", [typed.u], [typed.v], [typed.timestamp])
             applied += 1
         elif outcome == "dropped":
             removed += 1

@@ -27,8 +27,11 @@ Records pass through one :class:`~repro.stream.admission.Admission`
 stage — the same record contract, casebook policies and dead-letter
 channel as the sharded :class:`~repro.parallel.ShardedRunner` — in
 chunks that never cross a checkpoint boundary, the ``max_records`` stop
-or a ``--metrics-every`` sample, and the accepted ones fold into the
-local predictor through a :class:`~repro.stream.admission.SpanFolder`.
+or a ``--metrics-every`` sample, and the accepted records of each
+chunk fold into the local predictor at once
+(:func:`~repro.stream.admission.fold_block`: one ``update_block`` call
+per run of adds or deletes), so state reflects every committed offset
+the moment a chunk settles.
 A checkpoint holds the guard's state beside the sketches, so a resumed
 run judges duplicates, hubs and timestamps against everything before
 its offset, exactly like an uninterrupted one.
@@ -49,8 +52,8 @@ from repro.stream.admission import (
     CHUNK_RECORDS,
     AcceptedBlock,
     Admission,
-    SpanFolder,
     close_records,
+    fold_block,
 )
 from repro.stream.checkpoint import CheckpointManager
 from repro.stream.deadletter import DeadLetterSink
@@ -100,15 +103,6 @@ class StreamRunner:
         per record would sample (the ``--metrics-out``/
         ``--metrics-every`` flight recorder).  The runner never closes
         it — the owner decides when the final sample lands.
-    batch_size:
-        Span size for the block-ingest kernel
-        (:meth:`~repro.core.predictor.MinHashLinkPredictor.update_block`)
-        — see :class:`~repro.stream.admission.SpanFolder`.  ``0``/``1``
-        (default) is the scalar per-record path.  Pending spans are
-        flushed before every checkpoint and when :meth:`run` returns
-        (a strict-mode raise included), so checkpoints and crash
-        recovery stay bit-identical to scalar ingestion; only the
-        ``ingest_vertices`` gauge can trail the offset by one span.
     clock:
         Injectable monotonic clock for checkpoint-age reporting.
     """
@@ -128,13 +122,10 @@ class StreamRunner:
         guard: Optional[StreamGuard] = None,
         metrics: Optional[MetricsRegistry] = None,
         reporter: Optional[PeriodicReporter] = None,
-        batch_size: int = 0,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if checkpoint_every < 0:
             raise ConfigurationError(f"checkpoint_every must be >= 0, got {checkpoint_every}")
-        if batch_size < 0:
-            raise ConfigurationError(f"batch_size must be >= 0, got {batch_size}")
         if checkpoint_every and checkpoint_manager is None:
             raise ConfigurationError("checkpoint_every needs a checkpoint_manager")
         self.source = source
@@ -150,7 +141,6 @@ class StreamRunner:
         self.checkpoint_every = checkpoint_every
         self.clock = clock
         self.reporter = reporter
-        self._fold = SpanFolder(self.predictor, batch_size)
         #: Committed offset: every record below it is reflected in state.
         self.offset = 0
         self.resumed_from: Optional[int] = None  # generation, if resumed
@@ -230,7 +220,7 @@ class StreamRunner:
             return False
         if checkpoint.guard is not None:
             self.guard.restore(checkpoint.guard)
-        self.predictor = self._fold.predictor = checkpoint.state
+        self.predictor = checkpoint.state
         self.offset = checkpoint.offset
         self.resumed_from = checkpoint.generation
         self._last_checkpoint_offset = checkpoint.offset
@@ -266,10 +256,6 @@ class StreamRunner:
                     self.checkpoint()
         finally:
             close_records(records)
-            # Whatever stopped the loop — exhaustion, max_records, a
-            # strict rejection, a source error — state must reflect
-            # every committed offset before control leaves run().
-            self._fold.flush()
         self.admission.ran(consumed, self.clock() - started)
         return self.stats()
 
@@ -278,7 +264,7 @@ class StreamRunner:
         next checkpoint, the ``max_records`` stop and the reporter's
         next sample."""
         if self.checkpoint_every and self._since_checkpoint >= self.checkpoint_every:
-            self.checkpoint()  # flushes pending edges first
+            self.checkpoint()
         want = CHUNK_RECORDS
         if self.checkpoint_every:
             want = min(want, self.checkpoint_every - self._since_checkpoint)
@@ -299,7 +285,7 @@ class StreamRunner:
             self.reporter.tick(count)
 
     def _accept(self, block: AcceptedBlock) -> None:
-        self._fold.add_block(block)
+        fold_block(self.predictor, block)
         self._m_ok.inc(len(block.offsets))
 
     # ------------------------------------------------------------------
@@ -308,13 +294,9 @@ class StreamRunner:
 
     def checkpoint(self) -> None:
         """Snapshot ``(predictor, guard state, committed offset)``
-        atomically now.
-
-        Pending batched edges are flushed first — a checkpoint must
-        reflect every record below its offset."""
+        atomically now."""
         if self.checkpoints is None:
             raise ConfigurationError("no checkpoint_manager configured")
-        self._fold.flush()
         started = self.clock()
         self.checkpoints.save(
             self.predictor,

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.core import MinHashLinkPredictor, SketchConfig
 from repro.core.windowed import WindowedMinHashPredictor
 from repro.errors import ConfigurationError
 from repro.graph import from_pairs
-from repro.graph.generators import erdos_renyi
+from repro.graph.generators import barabasi_albert, erdos_renyi
 
 
 def config(k=64, seed=7, **kwargs):
@@ -88,6 +90,26 @@ class TestAccounting:
         windowed = WindowedMinHashPredictor(config(k=8), pane_edges=2, panes=3)
         windowed.process(from_pairs([(0, 1), (0, 2), (0, 3), (0, 4)]))
         assert windowed.vertex_count == 5
+
+    def test_vertex_count_reads_the_id_columns(self):
+        # The union of the panes' exported ids, counted from their live
+        # id columns: no sketch matrix is copied to count.
+        windowed = WindowedMinHashPredictor(config(k=64), pane_edges=1000, panes=4)
+        windowed.process(barabasi_albert(2000, 3, seed=5))
+        assert len(windowed._stores) == 4
+        union = set()
+        for store in windowed._stores:
+            union.update(store.export_arrays().vertex_ids.tolist())
+        assert windowed.vertex_count == len(union)
+        ids = sum(store.vertex_count for store in windowed._stores)
+        tracemalloc.start()
+        try:
+            windowed.vertex_count
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # ~20 B per pane id; exporting the panes took ~390 at k=64.
+        assert peak <= 32 * ids
 
     def test_cold_vertices_score_zero(self):
         windowed = WindowedMinHashPredictor(config(k=8), pane_edges=5, panes=2)

@@ -245,12 +245,11 @@ def check_dynamic(config, ops, pairs):
 
     assert_scores_match(predictor.score, reference, pairs)
     for u, v in pairs:
-        su, sv = rows.get(u), rows.get(v)
-        if su is None or sv is None:
-            # An endpoint with no account zeroes every field, degrees too.
-            expected = PairEstimate(u, v, 0.0, 0.0, 0.0, 0.0, 0, 0, 0.0)
-        else:
-            expected = reference_estimate(u, v, su, sv, degree(u), degree(v), degree, config.k)
+        # An endpoint with no account scores 0.0; the degree fields stay
+        # each endpoint's live degree, as in the append-only predictor.
+        expected = reference_estimate(
+            u, v, rows.get(u), rows.get(v), degree(u), degree(v), degree, config.k
+        )
         assert predictor.estimate(u, v) == expected
         assert predictor.jaccard(u, v) == expected.jaccard
 
@@ -269,7 +268,8 @@ def test_dynamic_estimate_fields():
     assert estimate.jaccard_std_error == jaccard_std_error(estimate.jaccard, 64)
     # Vertex 4 has an account but no live neighbor; 99 has no account.
     assert predictor.estimate(0, 4) == PairEstimate(0, 4, 0.0, 0.0, 0.0, 0.0, 2, 0, 0.0)
-    assert predictor.estimate(0, 99) == PairEstimate(0, 99, 0.0, 0.0, 0.0, 0.0, 0, 0, 0.0)
+    assert predictor.estimate(0, 99) == PairEstimate(0, 99, 0.0, 0.0, 0.0, 0.0, 2, 0, 0.0)
+    assert predictor.estimate(99, 0) == PairEstimate(99, 0, 0.0, 0.0, 0.0, 0.0, 0, 2, 0.0)
 
 
 # ----------------------------------------------------------------------

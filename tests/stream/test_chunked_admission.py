@@ -4,7 +4,8 @@
 lines of a chunk in bulk and sends everything else through
 :meth:`~repro.stream.policies.StreamGuard.evaluate`.  The reference
 here is the scalar loop: :meth:`Admission.admit` on each record in
-turn, folded record by record.  Over hostile streams — every casebook
+turn, each accepted one applied with the scalar ``update``/``delete``
+(the runner folds whole chunks through the block kernel).  Over hostile streams — every casebook
 mode, the legacy contract, dynamic deletes, tight hub limits, strict
 raises partway through a chunk — both give the same accepted records,
 dead-letter rows, counters, guard state, error, checkpoint offsets and
@@ -23,10 +24,11 @@ from repro.core.persistence import read_checkpoint
 from repro.errors import DeadLetterError
 from repro.obs.registry import MetricsRegistry
 from repro.stream import CheckpointManager, IteratorEdgeSource, MemoryDeadLetters, StreamRunner
-from repro.stream.admission import Admission, SpanFolder
+from repro.stream.admission import Admission
 from repro.stream.casebook import sketch_fingerprint
 from repro.stream.policies import MODES, PolicySet, StreamGuard
 from repro.stream.sources import SourceRecord
+from tests.stream.reference import apply_record
 
 vertex = st.integers(0, 7)
 stamp = st.one_of(
@@ -193,36 +195,31 @@ def _config(dynamic):
     return SketchConfig(k=8, seed=5, dynamic_mode=dynamic)
 
 
-def _reference_run(lines, mode, hub, dynamic, every, batch_size):
-    """The record-at-a-time runner: admit, fold, snapshot every ``every``."""
-    runner = StreamRunner(IteratorEdgeSource(lines), config=_config(dynamic))
+def _reference_run(lines, mode, hub, dynamic, every):
+    """The record-at-a-time runner: admit, apply with the scalar
+    ``update``/``delete``, snapshot every ``every`` records."""
+    predictor = StreamRunner(IteratorEdgeSource(lines), config=_config(dynamic)).predictor
     admission = _admission(lines, mode, hub, dynamic)
-    fold = SpanFolder(runner.predictor, batch_size)
     snapshots, error, offset = [], None, 0
     try:
         for record in admission.source.records():
             typed = admission.admit(record)
             if typed is not None:
-                fold.add(typed.op == "delete", typed.u, typed.v, typed.timestamp)
+                apply_record(predictor, typed)
             offset = record.offset + 1
             if offset % every == 0:
-                fold.flush()
-                snapshots.append((offset, sketch_fingerprint(runner.predictor)))
+                snapshots.append((offset, sketch_fingerprint(predictor)))
         if offset % every:
-            fold.flush()
-            snapshots.append((offset, sketch_fingerprint(runner.predictor)))
+            snapshots.append((offset, sketch_fingerprint(predictor)))
     except DeadLetterError as raised:
         error = (raised.offset, raised.reason, str(raised))
-    fold.flush()
-    return snapshots, error, offset, sketch_fingerprint(runner.predictor)
+    return snapshots, error, offset, sketch_fingerprint(predictor)
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    streams, modes, st.integers(2, 6), st.booleans(), st.integers(1, 9), st.sampled_from([0, 4])
-)
-def test_runner_checkpoints_match_the_scalar_loop(lines, mode, hub, dynamic, every, batch_size):
-    expected = _reference_run(lines, mode, hub, dynamic, every, batch_size)
+@given(streams, modes, st.integers(2, 6), st.booleans(), st.integers(1, 9))
+def test_runner_checkpoints_match_the_scalar_loop(lines, mode, hub, dynamic, every):
+    expected = _reference_run(lines, mode, hub, dynamic, every)
     with tempfile.TemporaryDirectory() as directory:
         manager = CheckpointManager(directory, keep=1000)
         runner = StreamRunner(
@@ -232,7 +229,6 @@ def test_runner_checkpoints_match_the_scalar_loop(lines, mode, hub, dynamic, eve
             checkpoint_every=every,
             guard=_guard(mode, hub, dynamic),
             dead_letters=MemoryDeadLetters(capacity=1000),
-            batch_size=batch_size,
         )
         error = None
         try:

@@ -22,6 +22,7 @@ from repro.stream import PolicySet, StreamGuard, StreamRunner
 from repro.stream.casebook import check_casebook, sketch_fingerprint
 from repro.stream.policies import ContractViolation, coerce_stream_record
 from repro.stream.sources import IteratorEdgeSource, SourceRecord
+from tests.stream.reference import fold_accepted
 
 
 class TestStreamRecordGrammar:
@@ -120,20 +121,27 @@ class TestDynamicRunner:
         return SketchConfig(k=16, seed=5, dynamic_mode=True)
 
     def test_scalar_and_batched_agree(self):
-        runs = []
-        for batch_size in (0, 3):
+        # One leg (adds and deletes split into runs for the block
+        # kernel) and legs of one record (the scalar update/delete)
+        # both equal the per-record reference loop.
+        reference = fold_accepted(
+            OPS_STREAM,
+            DynamicMinHashPredictor(self.config()),
+            guard=StreamGuard(PolicySet(), supports_deletes=True),
+        )
+        for leg in (None, 1):
             runner = StreamRunner(
                 IteratorEdgeSource(OPS_STREAM, name="ops"),
                 config=self.config(),
                 guard=StreamGuard(PolicySet(), supports_deletes=True),
-                batch_size=batch_size,
             )
-            stats = runner.run()
+            while not runner.run(max_records=leg)["source_exhausted"]:
+                pass
+            stats = runner.stats()
             assert stats["dynamic"] is True
             assert stats["records_ok"] == 6
             assert stats["dead_letter_reasons"] == {"delete_unseen_edge": 1}
-            runs.append(sketch_fingerprint(runner.predictor))
-        assert runs[0] == runs[1]
+            assert sketch_fingerprint(runner.predictor) == sketch_fingerprint(reference)
 
     def test_append_only_runner_quarantines_deletes(self):
         runner = StreamRunner(
@@ -225,7 +233,7 @@ class TestShardedDynamicRunner:
             workers=3,
             config=config,
             guard=StreamGuard(PolicySet(), supports_deletes=True),
-            batch_size=8,
+            chunk_records=8,
         )
         sharded_stats = sharded.run()
         assert sharded_stats["dynamic"] is True

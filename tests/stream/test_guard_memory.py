@@ -32,7 +32,6 @@ def test_admission_holds_at_most_32_bytes_per_edge(tmp_path):
             FileEdgeSource(path),
             config=SketchConfig(k=16, seed=1),
             policies="normalize",
-            batch_size=4096,
         )
         stats = runner.run()
         snapshot = tracemalloc.take_snapshot()

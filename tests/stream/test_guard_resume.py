@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import SketchConfig
+from repro.core import DynamicMinHashPredictor, MinHashLinkPredictor, SketchConfig
 from repro.core.persistence import read_checkpoint
 from repro.errors import CheckpointCorruptError, DeadLetterError
 from repro.stream import (
@@ -24,6 +24,7 @@ from repro.stream import (
 )
 from repro.stream.casebook import sketch_fingerprint
 from repro.stream.policies import MODES, StreamGuard
+from tests.stream.reference import fold_accepted
 
 
 def _leg(lines, directory, guard, config, *, resume=False, max_records=None, every=7):
@@ -34,7 +35,6 @@ def _leg(lines, directory, guard, config, *, resume=False, max_records=None, eve
         checkpoint_every=every,
         guard=guard,
         dead_letters=MemoryDeadLetters(capacity=1000),
-        batch_size=4,
     )
     if resume:
         runner.resume()
@@ -63,6 +63,10 @@ def test_kill_and_resume_is_bit_identical(tmp_path, mode, with_deletes):
         return generator.guard(PolicySet.uniform(mode))
 
     whole, whole_error, whole_letters, _ = _leg(lines, tmp_path / "whole", guard(), config)
+    predictor = DynamicMinHashPredictor(config) if with_deletes else MinHashLinkPredictor(config)
+    assert sketch_fingerprint(whole.predictor) == sketch_fingerprint(
+        fold_accepted(lines, predictor, guard=guard())
+    )
     for kill in (5, 19, 33, 50, 71):
         directory = tmp_path / f"kill-{kill}"
         _, first_error, first_letters, _ = _leg(lines, directory, guard(), config, max_records=kill)

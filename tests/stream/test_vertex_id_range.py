@@ -1,24 +1,25 @@
 """Vertex ids are int64 end to end; a larger id is dead-lettered at parse.
 
 An id of 2**63 or more once reached the guard's state and then crashed
-the predictor (``OverflowError`` on the scalar path, a batch
-``ConfigurationError`` on the block path).  It is now a
+the predictor (``OverflowError`` in the scalar ``update``, a batch
+``ConfigurationError`` in ``update_block``).  It is now a
 ``non_integer_vertex`` record, for text lines and structured records
-alike, serially and sharded, at any batch size.
+alike, serially and sharded, whatever deprecated ``batch_size`` the
+facade is given.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import SketchConfig
+from repro.api import ingest
+from repro.core import MinHashLinkPredictor, SketchConfig
 from repro.errors import StreamFormatError
 from repro.graph.io import MAX_VERTEX_ID, parse_stream_record
-from repro.parallel import ShardedRunner
-from repro.stream import IteratorEdgeSource, MemoryDeadLetters, StreamRunner
 from repro.stream.casebook import sketch_fingerprint
 from repro.stream.policies import ContractViolation, coerce_stream_record
 from repro.stream.sources import SourceRecord
+from tests.stream.reference import fold_accepted
 
 TOO_BIG = MAX_VERTEX_ID + 1
 LINES = ["1 2", f"3 {TOO_BIG}", "2 3", (TOO_BIG, 4), f"{MAX_VERTEX_ID} 5", "1 2"]
@@ -39,45 +40,28 @@ def test_structured_records_share_the_id_domain():
     assert error.value.reason == "non_integer_vertex"
 
 
-def _check(runner):
-    stats = runner.run()
-    letters = runner.dead_letters.entries
+def _check(report):
+    stats, letters = report.stats, report.runner.dead_letters.entries
     assert [(letter.offset, letter.reason) for letter in letters] == [
         (1, "non_integer_vertex"),
         (3, "non_integer_vertex"),
     ]
     assert all("int64" in letter.detail for letter in letters)
     assert stats["source_exhausted"] is True
-    return runner.predictor
+    return report.predictor
 
 
 @pytest.mark.parametrize("policies", [None, "normalize"])
 @pytest.mark.parametrize("batch_size", [0, 4096])
 def test_serial_ingest_dead_letters_the_id(batch_size, policies):
-    runner = StreamRunner(
-        IteratorEdgeSource(LINES),
-        config=CONFIG,
-        batch_size=batch_size,
-        policies=policies,
-        dead_letters=MemoryDeadLetters(),
-    )
-    predictor = _check(runner)
-    clean = StreamRunner(IteratorEdgeSource(CLEAN), config=CONFIG, policies=policies)
-    clean.run()
-    assert sketch_fingerprint(predictor) == sketch_fingerprint(clean.predictor)
+    predictor = _check(ingest(LINES, config=CONFIG, batch_size=batch_size, policies=policies))
+    clean = fold_accepted(CLEAN, MinHashLinkPredictor(CONFIG), policies=policies)
+    assert sketch_fingerprint(predictor) == sketch_fingerprint(clean)
 
 
 @pytest.mark.parametrize("batch_size", [0, 4096])
 def test_sharded_ingest_dead_letters_the_id(batch_size):
-    runner = ShardedRunner(
-        IteratorEdgeSource(LINES),
-        workers=2,
-        config=CONFIG,
-        batch_size=batch_size,
-        policies="normalize",
-        dead_letters=MemoryDeadLetters(),
-    )
-    predictor = _check(runner)
-    clean = StreamRunner(IteratorEdgeSource(CLEAN), config=CONFIG, policies="normalize")
-    clean.run()
-    assert sketch_fingerprint(predictor) == sketch_fingerprint(clean.predictor)
+    report = ingest(LINES, config=CONFIG, workers=2, batch_size=batch_size, policies="normalize")
+    predictor = _check(report)
+    clean = fold_accepted(CLEAN, MinHashLinkPredictor(CONFIG), policies="normalize")
+    assert sketch_fingerprint(predictor) == sketch_fingerprint(clean)
