@@ -16,14 +16,16 @@ Also runnable without pytest for the CI ingest-metrics smoke::
     PYTHONPATH=src python benchmarks/bench_e4_throughput.py --smoke \
         --json results.json --metrics-out metrics.jsonl
 
-The standalone runner drives the full ``StreamRunner`` ingest path
-twice — registry enabled vs. explicitly disabled — and gates on the
-observability acceptance bar: instrumented throughput within 5% of
-uninstrumented.
+The standalone runner drives the full ``StreamRunner`` ingest path with
+the registry enabled vs. explicitly disabled, in interleaved rounds of
+passes lasting at least a second each, and gates on the observability
+acceptance bar: instrumented throughput within 5% of uninstrumented.
 """
 
 from __future__ import annotations
 
+import math
+import statistics
 import sys
 import time
 
@@ -37,6 +39,9 @@ from repro.graph.generators import barabasi_albert
 
 #: Acceptance bar: metrics may cost at most this fraction of throughput.
 OVERHEAD_BAR = 0.05
+#: Shortest timed pass per arm and round, and the interleaved rounds.
+MIN_PASS_SECONDS = 1.25
+ROUNDS = 9
 
 EDGES = 60_000 if SCALE == "full" else 20_000
 _STREAM = barabasi_albert(n=EDGES // 4, m=4, seed=9)[:EDGES]
@@ -134,10 +139,12 @@ def main(argv=None):
     """Compare instrumented vs. uninstrumented StreamRunner ingest.
 
     Gates on ``OVERHEAD_BAR``: the enabled registry may slow ingest by
-    at most 5% relative to ``MetricsRegistry(enabled=False)``.  Best of
-    three rounds per arm smooths scheduler noise.  ``--metrics-out``
-    additionally dumps the instrumented run's final snapshot (the CI
-    artifact).
+    at most 5% relative to ``MetricsRegistry(enabled=False)``.  Each
+    round gives each arm at least ``MIN_PASS_SECONDS`` of ingest (the
+    stream ingested as often as that takes, the arms alternating); the
+    overhead is the median of the per-round time ratios.
+    ``--metrics-out`` additionally dumps the instrumented run's final
+    snapshot (the CI artifact).
     """
     from repro.obs import MetricsRegistry, snapshot
 
@@ -151,35 +158,46 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     edges = _STREAM[:10_000] if args.smoke else _STREAM
-    # Interleaved rounds + best-of-N per arm: single runs in a shared CI
-    # environment jitter by ±8%, far above the signal being gated on
-    # (one bound Counter.inc against a ~30µs sketch update).
-    rounds = 5
-    disabled_best = enabled_best = float("inf")
-    final_registry = None
-    for _ in range(rounds):
-        seconds, _runner = _runner_ingest(edges, MetricsRegistry(enabled=False))
-        disabled_best = min(disabled_best, seconds)
-        registry = MetricsRegistry()
-        seconds, _runner = _runner_ingest(edges, registry)
-        enabled_best = min(enabled_best, seconds)
-        final_registry = registry
+    # A single ~70 ms ingest jitters by +-20% on a shared host, far above
+    # the signal being gated on (one bound Counter.inc per chunk).  So a
+    # round ingests the stream until each arm has run MIN_PASS_SECONDS,
+    # alternating the arms ingest by ingest so both see the same noise.
+    single = min(_runner_ingest(edges, MetricsRegistry())[0] for _ in range(2))
+    repeats = max(1, math.ceil(MIN_PASS_SECONDS / single))
+    ratios, times = [], {False: [], True: []}
+    for round_index in range(ROUNDS):
+        spent = {False: 0.0, True: 0.0}
+        for repeat in range(repeats):
+            for enabled in (False, True) if (round_index + repeat) % 2 else (True, False):
+                registry = MetricsRegistry(enabled=enabled)
+                seconds, _runner = _runner_ingest(edges, registry)
+                spent[enabled] += seconds
+                if enabled:
+                    final_registry = registry
+        for enabled, seconds in spent.items():
+            times[enabled].append(seconds)
+        ratios.append(spent[True] / spent[False])
 
-    overhead = enabled_best / disabled_best - 1.0
+    overhead = statistics.median(ratios) - 1.0
+    disabled_rate = len(edges) * repeats * ROUNDS / sum(times[False])
+    enabled_rate = len(edges) * repeats * ROUNDS / sum(times[True])
     record = {
         "edges": len(edges),
-        "rounds": rounds,
-        "uninstrumented_edges_per_second": len(edges) / disabled_best,
-        "instrumented_edges_per_second": len(edges) / enabled_best,
+        "rounds": ROUNDS,
+        "repeats_per_pass": repeats,
+        "pass_seconds": statistics.median(times[False]),
+        "uninstrumented_edges_per_second": disabled_rate,
+        "instrumented_edges_per_second": enabled_rate,
+        "round_overheads": [ratio - 1.0 for ratio in ratios],
         "overhead_fraction": overhead,
         "overhead_bar": OVERHEAD_BAR,
     }
     json_path = emit_json("e4_ingest_overhead", record, path=args.json or None)
     print(
-        f"e4 smoke={args.smoke} edges={len(edges)} "
-        f"uninstrumented={len(edges) / disabled_best:,.0f}/s "
-        f"instrumented={len(edges) / enabled_best:,.0f}/s "
-        f"overhead={overhead:+.1%} (bar {OVERHEAD_BAR:.0%}) -> {json_path}"
+        f"e4 smoke={args.smoke} edges={len(edges)} x{repeats} rounds={ROUNDS} "
+        f"uninstrumented={disabled_rate:,.0f}/s "
+        f"instrumented={enabled_rate:,.0f}/s "
+        f"overhead={overhead:+.1%} (median round; bar {OVERHEAD_BAR:.0%}) -> {json_path}"
     )
     if args.metrics_out:
         import json as _json

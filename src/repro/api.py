@@ -210,43 +210,65 @@ def ingest(
     interleaving.  Append-only configurations dead-letter deletes with
     reason ``unsupported_delete``.
     """
-    from repro.stream.checkpoint import CheckpointManager
-    from repro.stream.runner import StreamRunner
-
     _check_batch_size(batch_size)
-    resolved = _resolve_source(source, seed, max_retries=max_retries)
-    common = dict(
+    runner = _build_runner(
+        _resolve_source(source, seed, max_retries=max_retries),
         config=config,
+        workers=workers,
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_every=checkpoint_every,
+        keep=keep,
         policy=policy,
         self_loops=self_loops,
         policies=policies,
         metrics=metrics,
     )
-    if workers > 1:
-        from repro.parallel import ShardedRunner
-
-        runner = ShardedRunner(
-            resolved,
-            workers=workers,
-            checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None,
-            checkpoint_every=checkpoint_every,
-            keep=keep,
-            **common,
-        )
-    else:
-        manager = CheckpointManager(checkpoint_dir, keep=keep) if checkpoint_dir else None
-        runner = StreamRunner(
-            resolved,
-            checkpoint_manager=manager,
-            checkpoint_every=checkpoint_every if manager else 0,
-            **common,
-        )
     if resume:
-        if not checkpoint_dir:
-            raise ConfigurationError("resume=True needs a checkpoint_dir")
         runner.resume()
     stats = runner.run(max_records=max_records)
     return IngestReport(predictor=runner.predictor, stats=stats, runner=runner)
+
+
+def _build_runner(
+    resolved,
+    *,
+    workers: int = 1,
+    checkpoint_dir: Union[str, Path, None] = None,
+    checkpoint_every: int = 0,
+    keep: int = 3,
+    reporter=None,
+    metrics: Optional[MetricsRegistry] = None,
+    **options,
+):
+    """The one ingest runner builder (``ingest``, live ``serve``, CLI
+    ``ingest``): sharded when ``workers > 1``, else serial with one
+    :class:`CheckpointManager` on the runner's registry.
+    ``checkpoint_every`` counts only with a ``checkpoint_dir``; only the
+    serial runner takes a ``reporter``; ``options`` go to either runner.
+    The runtime is imported here, so static serving never loads it.
+    """
+    metrics = metrics if metrics is not None else MetricsRegistry()
+    every = checkpoint_every if checkpoint_dir else 0
+    if workers > 1:
+        from repro.parallel import ShardedRunner
+
+        return ShardedRunner(
+            resolved,
+            workers=workers,
+            checkpoint_dir=str(checkpoint_dir) if checkpoint_dir else None,
+            checkpoint_every=every,
+            keep=keep,
+            metrics=metrics,
+            **options,
+        )
+    from repro.stream.checkpoint import CheckpointManager
+    from repro.stream.runner import StreamRunner
+
+    manager = CheckpointManager(checkpoint_dir, keep=keep, metrics=metrics) if checkpoint_dir else None
+    return StreamRunner(
+        resolved, checkpoint_manager=manager, checkpoint_every=every, reporter=reporter,
+        metrics=metrics, **options,
+    )
 
 
 def _servable(checkpoint):
@@ -412,18 +434,12 @@ def serve(
             metrics=metrics,
             **server_options,
         )
-    from repro.stream.checkpoint import CheckpointManager
-    from repro.stream.runner import StreamRunner
-
-    resolved = _resolve_source(source, seed, max_retries=max_retries)
-    manager = CheckpointManager(checkpoint_dir, keep=keep) if checkpoint_dir else None
-    if resume and manager is None:
-        raise ConfigurationError("resume=True needs a checkpoint_dir")
-    runner = StreamRunner(
-        resolved,
+    runner = _build_runner(
+        _resolve_source(source, seed, max_retries=max_retries),
         config=config,
-        checkpoint_manager=manager,
-        checkpoint_every=checkpoint_every if manager else 0,
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_every=checkpoint_every,
+        keep=keep,
         policy=policy,
         self_loops=self_loops,
         policies=policies,

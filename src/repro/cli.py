@@ -357,17 +357,15 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     sampling would need a per-record hook the coordinator deliberately
     does not pay for).
     """
-    from repro.api import _resolve_source
+    from repro.api import _build_runner, _resolve_source
     from repro.eval.reporting import format_table
     from repro.obs.registry import MetricsRegistry
-    from repro.stream.checkpoint import CheckpointManager
-    from repro.stream.deadletter import FileDeadLetters, MemoryDeadLetters
-    from repro.stream.runner import StreamRunner
+    from repro.stream.deadletter import FileDeadLetters
 
     source = _resolve_source(args.source, args.seed, max_retries=args.max_retries)
     if args.resume:
-        # Resume preconditions are checked *before* CheckpointManager
-        # runs (its constructor creates missing directories, which would
+        # Resume preconditions are checked *before* the runner is built
+        # (a checkpoint manager creates missing directories, which would
         # turn an operator typo into a silent fresh start).
         if not args.checkpoint_dir:
             raise ReproError("--resume needs --checkpoint-dir")
@@ -379,42 +377,21 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     registry = MetricsRegistry()
     reporter = _metrics_reporter(args, registry)
     config = _config_from_args(args)
-    common = dict(
+    dead_letters = FileDeadLetters(args.dead_letter) if args.dead_letter else None
+    runner = _build_runner(
+        source,
         config=config,
-        dead_letters=(
-            FileDeadLetters(args.dead_letter) if args.dead_letter else MemoryDeadLetters()
-        ),
+        workers=args.workers,
+        checkpoint_dir=args.checkpoint_dir,
+        checkpoint_every=args.checkpoint_every,
+        keep=args.keep,
         policy=args.policy,
         self_loops=args.self_loops,
         guard=_ingest_guard(args, config),
+        dead_letters=dead_letters,
+        reporter=reporter,
         metrics=registry,
     )
-    title = f"Ingest: {args.source}"
-    if args.workers > 1:
-        from repro.parallel.runner import ShardedRunner
-
-        runner = ShardedRunner(
-            source,
-            workers=args.workers,
-            checkpoint_dir=args.checkpoint_dir or None,
-            checkpoint_every=args.checkpoint_every if args.checkpoint_dir else 0,
-            keep=args.keep,
-            **common,
-        )
-        title += f" ({args.workers} shard workers)"
-    else:
-        manager = (
-            CheckpointManager(args.checkpoint_dir, keep=args.keep, metrics=registry)
-            if args.checkpoint_dir
-            else None
-        )
-        runner = StreamRunner(
-            source,
-            checkpoint_manager=manager,
-            checkpoint_every=args.checkpoint_every if manager else 0,
-            reporter=reporter,
-            **common,
-        )
     if args.resume:
         if not runner.resume():
             raise ReproError(
@@ -428,13 +405,17 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     finally:
         if reporter is not None:
             reporter.close()  # writes the final sample
+        if dead_letters is not None:
+            dead_letters.close()
     if args.resume and args.workers > 1:
         # Each worker restores its own shard inside run(), so the
         # offsets are known only once they have reported in.
         offsets = [runner.start_offsets[shard] for shard in range(args.workers)]
         print(f"resumed {args.workers} shards from offsets {offsets}")
-    rows = _ingest_stat_rows(stats)
-    print(format_table(["metric", "value"], rows, title=title))
+    title = f"Ingest: {args.source}"
+    if args.workers > 1:
+        title += f" ({args.workers} shard workers)"
+    print(format_table(["metric", "value"], _ingest_stat_rows(stats), title=title))
     if args.metrics_out:
         print(f"metrics: {reporter.samples_written} samples -> {args.metrics_out}")
     return 0
@@ -520,7 +501,7 @@ def _emit_query_results(args: argparse.Namespace, rows: list, stats: dict) -> No
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    from repro.api import open_engine
+    from repro.api import ingest, open_engine
     from repro.obs import MetricsRegistry, Tracer, render_trace
 
     registry = MetricsRegistry()
@@ -541,13 +522,13 @@ def _cmd_query(args: argparse.Namespace) -> int:
                     )
                 target = args.checkpoint_dir
             elif args.source:
-                from repro.core.registry import build_predictor
-
-                target = build_predictor(
-                    "minhash", _config_from_args(args), expected_vertices=None
-                )
-                for edge in _load_edges(args.source, args.seed):
-                    target.update(edge.u, edge.v)
+                target = ingest(
+                    args.source,
+                    config=_config_from_args(args),
+                    seed=args.seed,
+                    policy="strict",
+                    self_loops="drop",
+                ).predictor
             else:
                 raise ReproError(
                     "query needs a source (dataset/edge list), --load-checkpoint, "

@@ -401,7 +401,7 @@ def scan_edge_list(
     op tokens are not recognised, so every record is an ``add``.
     """
     index = 0
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for line_number, line in enumerate(handle, start=1):
             text = line.strip()
             if not text or text.startswith(("#", "%")):

@@ -106,8 +106,10 @@ class FileEdgeSource(EdgeSource):
             cursor[0].close()
             cursor = None
         if cursor is None:
-            # Universal newlines, but a bare "\r" stays visible (see below).
-            cursor = (open(self.path, "r", encoding="utf-8", newline=""), 0, 0, None)
+            # Universal newlines, but a bare "\r" stays visible (see below); an
+            # undecodable byte reaches the guard as a lone surrogate.
+            handle = open(self.path, encoding="utf-8", errors="surrogateescape", newline="")
+            cursor = (handle, 0, 0, None)
         handle, offset, line_number, last = cursor
         complete = True  # a line without "\n" may still grow: never park on one
         try:

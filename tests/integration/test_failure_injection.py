@@ -58,7 +58,7 @@ class TestHostileStreamFiles:
     def test_binary_garbage_mid_file(self, tmp_path):
         path = tmp_path / "garbage.txt"
         path.write_bytes(b"0 1\n\xff\xfe garbage \x00\n2 3\n")
-        with pytest.raises((StreamFormatError, UnicodeDecodeError)):
+        with pytest.raises(StreamFormatError, match="line 2"):
             read_edge_list(path)
 
     def test_huge_field_count(self, tmp_path):

@@ -109,6 +109,48 @@ class TestIngest:
         with pytest.raises(ReproError):
             ingest("no-such-dataset-or-file", config=SketchConfig(k=8))
 
+    def test_resume_needs_a_checkpoint_dir(self, edge_file):
+        config = SketchConfig(k=8)
+        for workers in (1, 2):
+            with pytest.raises(ConfigurationError, match="checkpoint"):
+                ingest(edge_file, config=config, workers=workers, resume=True)
+        with pytest.raises(ConfigurationError, match="checkpoint"):
+            repro.api.serve(source=edge_file, config=config, resume=True, port=0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_checkpoint_every_without_a_directory_is_ignored(self, edge_file, workers):
+        config = SketchConfig(k=8, seed=2)
+        report = ingest(edge_file, config=config, workers=workers, checkpoint_every=100)
+        assert report.records_ok == len(EDGES)
+        assert report.stats["checkpoints_written"] == 0
+        assert report.predictor.export_arrays().values.tobytes() == (
+            ingest(edge_file, config=config).predictor.export_arrays().values.tobytes()
+        )
+
+    @staticmethod
+    def _corrupt_newest(edge_file, ckpt):
+        ingest(edge_file, config=SketchConfig(k=8, seed=2), checkpoint_dir=ckpt,
+               checkpoint_every=300, max_records=900)
+        newest = CheckpointManager(ckpt).generations()[0]
+        path = ckpt / f"checkpoint-{newest}.npz"
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+    def test_resume_counts_a_corrupt_generation(self, edge_file, tmp_path):
+        ckpt = tmp_path / "ck"
+        self._corrupt_newest(edge_file, ckpt)
+        report = ingest(edge_file, config=SketchConfig(k=8, seed=2), checkpoint_dir=ckpt,
+                        checkpoint_every=300, resume=True)
+        assert report.runner.resumed_from is not None
+        assert report.runner.metrics.get("checkpoint_corrupt_generations_total").value == 1
+
+    def test_live_serve_resume_counts_a_corrupt_generation(self, edge_file, tmp_path):
+        ckpt = tmp_path / "ck"
+        self._corrupt_newest(edge_file, ckpt)
+        server = repro.api.serve(source=edge_file, config=SketchConfig(k=8, seed=2),
+                                 checkpoint_dir=ckpt, resume=True, port=0)
+        assert server.runner.resumed_from is not None
+        assert server.metrics.get("checkpoint_corrupt_generations_total").value == 1
+
 
 class TestOpenEngine:
     def test_from_warm_predictor(self, edge_file):
