@@ -32,15 +32,20 @@ sequence: scalar ingest inserts key ``v`` into ``sketch(u)`` and key
 ``u`` into ``sketch(v)`` edge by edge, so the 2m-long arrival sequence
 is the edge list with endpoints interleaved, and repeated insertions of
 one key into one sketch are idempotent — only the *first* arrival of
-each pair can matter.  ``np.unique`` over the packed ``(row, key)``
-codes yields the pairs already grouped by target (with each pair's
-earliest arrival position, the scalar witness tie-break),
-``np.minimum.reduceat`` produces the per-vertex batch minima, and a
-second ``reduceat`` over masked arrival positions finds the earliest
-arrival achieving each final minimum — the witness the sequential loop
-would have kept.  (``reduceat`` over presorted segments is several
-times faster than ``np.minimum.at``'s unbuffered scatter on CPython,
-and needs no atomics.)
+each pair can matter.  The kernel proper (:func:`apply_arrivals`)
+takes any arrival sequence: :func:`apply_edge_block` interleaves a
+batch's full sequence, a shard worker applies the subsequence whose
+targets it owns (:func:`edge_arrivals` with ``sides``), and because a
+subsequence keeps each target's arrivals in stream order, the result is
+the serial one restricted to those targets.  ``np.unique`` over the
+packed ``(row, key)`` codes yields the pairs already grouped by target
+(with each pair's earliest arrival position, the scalar witness
+tie-break), ``np.minimum.reduceat`` produces the per-vertex batch
+minima, and a second ``reduceat`` over masked arrival positions finds
+the earliest arrival achieving each final minimum — the witness the
+sequential loop would have kept.  (``reduceat`` over presorted
+segments is several times faster than ``np.minimum.at``'s unbuffered
+scatter on CPython, and needs no atomics.)
 
 The pairs are reduced in slabs of whole segments, at most
 :data:`SLAB_PAIRS` pairs each (a hub's segment longer than that is a
@@ -64,16 +69,24 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.sketches.minhash import EMPTY_SLOT
 
-__all__ = ["coerce_edge_batch", "coerce_timestamp_batch", "apply_edge_block", "apply_dynamic_block"]
+__all__ = [
+    "U_SIDE", "V_SIDE", "coerce_edge_batch", "coerce_timestamp_batch", "edge_arrivals",
+    "apply_edge_block", "apply_arrivals", "apply_dynamic_block",
+]
 
 #: Largest hash a real key may occupy a slot with (EMPTY_SLOT is
 #: reserved; the scalar path applies the identical remap).
 _VALUE_CAP = EMPTY_SLOT - np.uint64(1)
 
-#: Most ``(row, key)`` pairs one slab of :func:`apply_edge_block`
+#: Most ``(row, key)`` pairs one slab of :func:`apply_arrivals`
 #: reduces at once: ``1024 · k`` hashes, 512 KiB at k=64, so a slab's
 #: matrices stay in cache and no matrix spans the whole batch.
 SLAB_PAIRS = 1024
+
+#: The bits of a ``sides`` column (:func:`edge_arrivals`): which of an
+#: edge ``(u, v)``'s two arrivals apply.
+U_SIDE = 1  #: ``sketch(u) <- v``
+V_SIDE = 2  #: ``sketch(v) <- u``
 
 
 def coerce_edge_batch(us, vs) -> Tuple[np.ndarray, np.ndarray]:
@@ -142,31 +155,68 @@ def coerce_timestamp_batch(timestamps, count: int) -> np.ndarray:
     return out
 
 
-def apply_edge_block(predictor, us, vs) -> int:
-    """Fold a whole edge batch into ``predictor``; returns the edge count.
+def edge_arrivals(us, vs, sides=None):
+    """The arrival sequence of a validated edge batch: ``(targets,
+    keys, edges)``, interleaved exactly as the scalar loop issues
+    updates — ``sketch(u0) <- v0``, ``sketch(v0) <- u0``, ... — so
+    position order is arrival order, which is what breaks witness ties
+    identically to sequential ingestion.
 
-    Bit-identical to ``for u, v in zip(us, vs): predictor.update(u, v)``
-    across sketch values, witnesses, update counts, and degrees — the
-    property the hypothesis suite pins.  Validation happens up front:
-    a rejected batch leaves the predictor untouched.
+    ``sides`` keeps only some arrivals of each edge: bit :data:`U_SIDE`
+    keeps ``sketch(u) <- v``, bit :data:`V_SIDE` ``sketch(v) <- u`` (a
+    shard worker applies just the arrivals whose target it owns).
+    ``edges`` is then each kept arrival's edge index, and ``None`` for
+    the full interleave.
     """
-    us, vs = coerce_edge_batch(us, vs)
-    m = us.shape[0]
-    if m == 0:
-        return 0
-    bank = predictor.bank
-    track = predictor.config.track_witnesses
-
-    # The arrival sequence, interleaved exactly as the scalar loop
-    # issues updates: (sketch(u0) <- v0), (sketch(v0) <- u0), ...
-    # Position order == arrival order, which is what breaks witness
-    # ties identically to sequential ingestion.
+    m = len(us)
     targets = np.empty(2 * m, dtype=np.int64)
     keys = np.empty(2 * m, dtype=np.int64)
     targets[0::2] = us
     targets[1::2] = vs
     keys[0::2] = vs
     keys[1::2] = us
+    if sides is None:
+        return targets, keys, None
+    sides = np.asarray(sides)
+    if sides.shape != (m,):
+        raise ConfigurationError(
+            f"sides must hold one value per edge ({m} edges), got shape {sides.shape}"
+        )
+    bad = (sides < U_SIDE) | (sides > U_SIDE | V_SIDE)
+    if bad.any():
+        index = int(np.argmax(bad))
+        raise ConfigurationError(
+            f"sides value {int(sides[index])} at batch index {index} is not 1, 2 or 3"
+        )
+    kept = np.empty(2 * m, dtype=bool)
+    kept[0::2] = sides & U_SIDE
+    kept[1::2] = sides & V_SIDE
+    arrivals = np.flatnonzero(kept)
+    return targets[arrivals], keys[arrivals], arrivals >> 1
+
+
+def apply_edge_block(predictor, us, vs, sides=None) -> int:
+    """Fold a whole edge batch into ``predictor``; returns the edge count.
+
+    Bit-identical to ``for u, v in zip(us, vs): predictor.update(u, v)``
+    across sketch values, witnesses, update counts, and degrees — the
+    property the hypothesis suite pins.  With ``sides`` only the chosen
+    arrivals of each edge apply (:func:`edge_arrivals`), bit-identical
+    to the scalar loop restricted to those arrivals.  Validation happens
+    up front: a rejected batch leaves the predictor untouched.
+    """
+    us, vs = coerce_edge_batch(us, vs)
+    if len(us):
+        apply_arrivals(predictor, *edge_arrivals(us, vs, sides)[:2])
+    return len(us)
+
+
+def apply_arrivals(predictor, targets: np.ndarray, keys: np.ndarray) -> None:
+    """Fold an arrival sequence (``sketch(targets[i]) <- keys[i]``, in
+    order) into ``predictor``: the block kernel proper.  Degrees count
+    each arrival at its target."""
+    bank = predictor.bank
+    track = predictor.config.track_witnesses
 
     # One _splitmix64_array pass over the unique keys of the batch.
     unique_keys, key_inverse = np.unique(keys, return_inverse=True)
@@ -209,8 +259,7 @@ def apply_edge_block(predictor, us, vs) -> int:
             ),
             arrivals[lo:hi],
         )
-    predictor._degrees.increment_block(us, vs)
-    return m
+    predictor._degrees.increment_block(targets)
 
 
 def _slabs(bounds: np.ndarray):
@@ -246,14 +295,15 @@ def _segment_minima(hashes: np.ndarray, bounds: np.ndarray, positions, keys: np.
     return minima, keys[np.minimum.reduceat(masked, starts, axis=0)]
 
 
-def apply_dynamic_block(predictor, us, vs, timestamps=None, op: str = "add") -> int:
+def apply_dynamic_block(predictor, us, vs, timestamps=None, op: str = "add", sides=None) -> int:
     """Fold a homogeneous-op edge batch into a dynamic predictor.
 
     The deletion-tolerant counterpart of :func:`apply_edge_block`: the
     per-key state is a signed counter plus a last-seen time, so a batch
     reduces to one ``(count delta, max timestamp)`` pair per unique
-    ``(target, key)`` arrival — ``np.unique`` groups the interleaved
-    arrival sequence, ``np.bincount`` sums the deltas, and
+    ``(target, key)`` arrival — ``np.unique`` groups the arrival
+    sequence (:func:`edge_arrivals`, ``sides`` choosing arrivals as
+    there), ``np.bincount`` sums the deltas, and
     ``np.maximum.reduceat`` takes the per-pair timestamp maxima.  Counter
     addition commutes, so unlike the append-only kernel there is no
     witness tie-break to reproduce: the result equals the scalar loop
@@ -274,17 +324,9 @@ def apply_dynamic_block(predictor, us, vs, timestamps=None, op: str = "add") -> 
         return 0
     delta_sign = 1 if op == "add" else -1
 
-    # Interleave exactly like the scalar loop: sketch(u) <- v, then
-    # sketch(v) <- u, per edge, each carrying the edge's timestamp.
-    targets = np.empty(2 * m, dtype=np.int64)
-    keys = np.empty(2 * m, dtype=np.int64)
-    times = np.empty(2 * m, dtype=np.float64)
-    targets[0::2] = us
-    targets[1::2] = vs
-    keys[0::2] = vs
-    keys[1::2] = us
-    times[0::2] = ts
-    times[1::2] = ts
+    # Each arrival carries its edge's timestamp.
+    targets, keys, edges = edge_arrivals(us, vs, sides)
+    times = np.repeat(ts, 2) if edges is None else ts[edges]
 
     unique_targets, rows = np.unique(targets, return_inverse=True)
     unique_keys, key_inverse = np.unique(keys, return_inverse=True)

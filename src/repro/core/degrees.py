@@ -36,18 +36,19 @@ class DegreeTracker(ABC):
     def increment(self, vertex: int) -> None:
         """Count one new incident edge at ``vertex``."""
 
-    def increment_block(self, us, vs) -> None:
-        """Count both endpoints of a whole edge batch.
+    def increment_block(self, targets) -> None:
+        """Count one incident edge at each vertex of an arrival
+        sequence's ``targets`` (an edge batch's endpoints interleaved,
+        ``u0, v0, u1, v1, ...``, or a shard's share of them).
 
-        The default replays the exact scalar order — ``u`` then ``v``,
-        edge by edge — so order-dependent trackers (conservative
-        Count-Min, whose cell increments depend on the interleaving of
-        colliding keys) stay bit-identical to sequential ingestion.
-        Order-independent trackers override with a counting fast path.
+        The default replays that order one increment at a time, so
+        order-dependent trackers (conservative Count-Min, whose cell
+        increments depend on the interleaving of colliding keys) stay
+        bit-identical to sequential ingestion.  Order-independent
+        trackers override with a counting fast path.
         """
-        for u, v in zip(np.asarray(us).tolist(), np.asarray(vs).tolist()):
-            self.increment(u)
-            self.increment(v)
+        for vertex in np.asarray(targets).tolist():
+            self.increment(vertex)
 
     @abstractmethod
     def get(self, vertex: int) -> int:
@@ -69,13 +70,10 @@ class ExactDegrees(DegreeTracker):
     def increment(self, vertex: int) -> None:
         self._counts[vertex] = self._counts.get(vertex, 0) + 1
 
-    def increment_block(self, us, vs) -> None:
+    def increment_block(self, targets) -> None:
         """Exact counters commute, so a batch reduces to one bincount:
-        one dict write per *unique* endpoint instead of two per edge."""
-        unique, counts = np.unique(
-            np.concatenate([np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)]),
-            return_counts=True,
-        )
+        one dict write per *unique* target instead of one per arrival."""
+        unique, counts = np.unique(np.asarray(targets, dtype=np.int64), return_counts=True)
         table = self._counts
         for vertex, count in zip(unique.tolist(), counts.tolist()):
             table[vertex] = table.get(vertex, 0) + count

@@ -164,16 +164,19 @@ class DynamicMinHashPredictor(LinkPredictor):
         else:
             raise ConfigurationError(f"unknown stream op {record.op!r}")
 
-    def update_block(self, us, vs, timestamps=None) -> int:
+    def update_block(self, us, vs, timestamps=None, sides=None) -> int:
         """Consume a whole arrival batch through the batched kernel —
         equal to the scalar loop for any arrival order (counter addition
-        commutes).  Returns the number of edges applied."""
-        return apply_dynamic_block(self, us, vs, timestamps, op="add")
+        commutes).  ``sides`` applies only some arrivals of each edge,
+        as for :meth:`MinHashLinkPredictor.update_block
+        <repro.core.predictor.MinHashLinkPredictor.update_block>`.
+        Returns the number of edges applied."""
+        return apply_dynamic_block(self, us, vs, timestamps, "add", sides)
 
-    def delete_block(self, us, vs, timestamps=None) -> int:
+    def delete_block(self, us, vs, timestamps=None, sides=None) -> int:
         """Consume a whole retraction batch through the batched kernel
         (the delete path of :func:`~repro.core.block.apply_dynamic_block`)."""
-        return apply_dynamic_block(self, us, vs, timestamps, op="delete")
+        return apply_dynamic_block(self, us, vs, timestamps, "delete", sides)
 
     # ------------------------------------------------------------------
     # Queries

@@ -281,7 +281,7 @@ class MinHashLinkPredictor(LinkPredictor):
                 self._witnesses[row][improved] = key
         self._counts[row] += 1
 
-    def update_block(self, us, vs) -> int:
+    def update_block(self, us, vs, sides=None) -> int:
         """Consume a whole edge batch through the vectorized kernel.
 
         Bit-identical to ``for u, v in zip(us, vs): self.update(u, v)``
@@ -299,9 +299,11 @@ class MinHashLinkPredictor(LinkPredictor):
         as it was.  Returns the number of edges applied.  Duplicate
         arrivals inside or across batches behave exactly as in
         :meth:`update` (idempotent sketches, inflated degrees — see the
-        bias note there).
+        bias note there).  ``sides`` applies only some arrivals of each
+        edge (:func:`~repro.core.block.edge_arrivals`): a shard worker
+        folds just the arrivals whose target vertex it owns.
         """
-        return apply_edge_block(self, us, vs)
+        return apply_edge_block(self, us, vs, sides)
 
     # ------------------------------------------------------------------
     # Queries

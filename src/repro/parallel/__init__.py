@@ -1,13 +1,16 @@
-"""Sharded parallel ingestion: partition the stream, merge the sketches.
+"""Sharded parallel ingestion: each worker owns a share of the vertices.
 
-The pipeline partitions one edge stream across worker processes by
-hashing each undirected edge to a shard (:func:`shard_of`), lets every
-worker build a full-configuration predictor over its partition with its
-own crash-resumable checkpoints, and reduces the shards through the
-exact ``merge()`` algebra back into a single predictor that is
-bit-identical to serial ingestion.  :class:`ShardedRunner` is the
-public entry point; most callers reach it through
-``repro.api.ingest(..., workers=N)`` or ``repro ingest --workers N``.
+The pipeline assigns every vertex to one worker process
+(:func:`owner_of`, a seeded hash of the vertex id) and sends each
+stream edge's two arrivals, ``sketch(u) ← v`` and ``sketch(v) ← u``,
+to the owners of their targets.  Every worker builds the sketch rows of
+the vertices it owns, in stream order, with its own crash-resumable
+checkpoints, so the shards are vertex-disjoint, hold one copy of the
+sketch between them, and reduce by a disjoint union into a single
+predictor that is bit-identical to serial ingestion.
+:class:`ShardedRunner` is the public entry point; most callers reach it
+through ``repro.api.ingest(..., workers=N)`` or
+``repro ingest --workers N``.
 """
 
 from repro._lazy import lazy_exports
@@ -15,7 +18,7 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "repro.parallel.partition": ["shard_counts", "shard_of", "shard_of_array"],
+        "repro.parallel.partition": ["owner_of", "owner_of_array"],
         "repro.parallel.runner": ["ShardedRunner"],
         "repro.parallel.worker": ["shard_directory", "shard_worker_main"],
     },
@@ -23,9 +26,8 @@ __getattr__, __dir__ = lazy_exports(
 
 __all__ = [
     "ShardedRunner",
-    "shard_counts",
+    "owner_of",
+    "owner_of_array",
     "shard_directory",
-    "shard_of",
-    "shard_of_array",
     "shard_worker_main",
 ]

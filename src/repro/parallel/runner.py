@@ -1,12 +1,12 @@
 """The sharded parallel ingestion coordinator.
 
 :class:`ShardedRunner` is the scale-out counterpart of the serial
-:class:`~repro.stream.runner.StreamRunner`: it partitions one edge
-stream across ``workers`` processes (hash-partitioned by edge — see
-:mod:`repro.parallel.partition`), drives them through bounded
-``multiprocessing`` queues with backpressure, and reduces the shard
-states through the exact ``merge()`` algebra into a single predictor
-that is **bit-identical** to serial ingestion of the same stream.
+:class:`~repro.stream.runner.StreamRunner`: it splits one edge stream's
+arrivals across ``workers`` processes by the vertex they land in (each
+vertex has one owner — see :mod:`repro.parallel.partition`), drives
+them through bounded ``multiprocessing`` queues with backpressure, and
+reduces the vertex-disjoint shard states into a single predictor that
+is **bit-identical** to serial ingestion of the same stream.
 
 Division of labour:
 
@@ -14,14 +14,20 @@ Division of labour:
   source, admits records in chunks through the *same*
   :class:`~repro.stream.admission.Admission` stage as the serial runner
   (dead-lettering centrally, so quarantine counters live in one
-  registry), assigns each accepted block's records to their shards
-  (:func:`~repro.parallel.partition.shard_of_array`), and routes
-  columnar chunks into per-shard bounded queues;
+  registry), sends each accepted record to the owners of its two
+  endpoints (:func:`~repro.parallel.partition.owner_of_array`) — once,
+  with both arrivals, when one worker owns both — and routes columnar
+  chunks into per-shard bounded queues;
 * each **worker** (:func:`~repro.parallel.worker.shard_worker_main`)
-  owns a full-config predictor shard plus its own
-  :class:`~repro.stream.checkpoint.CheckpointManager` subdirectory, and
-  checkpoints every ``checkpoint_every`` of *its* records with the
-  global offset it is committed through.
+  holds the sketch rows and degrees of the vertices it owns plus its
+  own :class:`~repro.stream.checkpoint.CheckpointManager`
+  subdirectory, and checkpoints every ``checkpoint_every`` of *its*
+  records (those whose ``u`` it owns) with the global offset it is
+  committed through.
+
+Every vertex's arrivals reach one process in stream order, so its slot
+values, witnesses, update counts and degrees equal the serial run's by
+construction, and each worker holds ~1/W of the vertices.
 
 The reduce is streamed: at the end of the stream each worker writes its
 state to a one-way pipe as raw columns
@@ -29,23 +35,27 @@ state to a one-way pipe as raw columns
 every shard's per-vertex columns, sizes one store for the union of
 their vertices, then reads shard 0's rows, shard 1's, ..., one chunk
 at a time into a reused buffer, folding each chunk in
-(:func:`~repro.core.predictor.merge_shards`).  No predictor is pickled,
-and the coordinator never holds more than the merged store plus one
-chunk.
+(:func:`~repro.core.predictor.merge_shards`; the shards are disjoint,
+so the fold is a union).  No predictor is pickled, and the coordinator
+never holds more than the merged store plus one chunk.
 
-The crash-recovery contract extends PR-1's: kill any worker at any
-point (the coordinator raises :class:`~repro.errors.WorkerCrashError`),
-construct a new runner over the same checkpoint directory, ``resume()``
-and ``run()`` — each shard replays only its own uncommitted suffix,
-and the merged result is still bit-identical to an uninterrupted serial
-pass.  ``run(max_records=N)`` stops all workers *without* final
-checkpoints (the on-disk state of a crash), which the drill suite uses.
+The crash-recovery contract: kill any worker at any point (the
+coordinator raises :class:`~repro.errors.WorkerCrashError`), construct
+a new runner with the same ``workers`` over the same checkpoint
+directory, ``resume()`` and ``run()`` — each shard replays only its own
+uncommitted suffix, and the merged result is still bit-identical to an
+uninterrupted serial pass.  A resume with another worker count, or over
+a directory written before vertex ownership, is refused with
+:class:`~repro.errors.ConfigurationError` (the shard checkpoints carry
+a partition stamp).  ``run(max_records=N)`` stops all workers *without*
+final checkpoints (the on-disk state of a crash), which the drill suite
+uses.
 
 Observability: the registry carries
-``ingest_records_total{outcome=...,shard=...}`` (per-shard routing
-counters), the shared dead-letter reason counters, a
-``shard_merge_seconds`` histogram for the reduce step, and worker
-checkpoint totals folded in after the run.
+``ingest_records_total{outcome=...,shard=...}`` (each accepted record
+counted once, at the shard owning its ``u``), the shared dead-letter
+reason counters, a ``shard_merge_seconds`` histogram for the reduce
+step, and worker checkpoint totals folded in after the run.
 """
 
 from __future__ import annotations
@@ -59,12 +69,13 @@ from typing import Callable, Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
+from repro.core.block import U_SIDE, V_SIDE
 from repro.core.config import SketchConfig
 from repro.core.dynamic import merge_dynamic_shards
 from repro.core.predictor import MinHashLinkPredictor, merge_shards
 from repro.errors import ConfigurationError, WorkerCrashError
 from repro.obs.registry import MetricsRegistry
-from repro.parallel.partition import shard_of_array
+from repro.parallel.partition import owner_of_array
 from repro.parallel.worker import (
     chunk_buffers,
     receive_state,
@@ -94,8 +105,9 @@ class ShardedRunner:
         :class:`~repro.stream.sources.RetryingSource` exactly as for
         the serial runner.
     workers:
-        Shard count (>= 1).  Each worker is one OS process owning one
-        predictor shard.
+        Shard count (>= 1).  Each worker is one OS process owning the
+        sketch rows of ~1/``workers`` of the vertices.  A resume must
+        use the count the checkpoints were written with.
     config:
         The shared :class:`SketchConfig`.  Must be mergeable
         (``degree_mode="exact"``) — validated eagerly at construction,
@@ -103,7 +115,8 @@ class ShardedRunner:
     checkpoint_dir / checkpoint_every / keep:
         Per-shard resumable checkpoints: shard *i* writes rotated
         generations under ``<checkpoint_dir>/shard-0i/`` every
-        ``checkpoint_every`` of its own records.
+        ``checkpoint_every`` of its own records (those whose ``u`` it
+        owns), each stamped with the partition.
     dead_letters / policy / self_loops / policies / guard:
         The admission contract, enforced coordinator-side by the same
         :class:`~repro.stream.admission.Admission` stage as the serial
@@ -245,7 +258,9 @@ class ShardedRunner:
         The actual state restore happens inside each worker (it owns
         its shard directory); this call only verifies the directory and
         flags the next :meth:`run` to start workers in resume mode.
-        Must be called before anything has been consumed.
+        Must be called before anything has been consumed.  The run
+        raises :class:`~repro.errors.ConfigurationError` if a shard's
+        checkpoint was written under another partition.
         """
         if self.checkpoint_dir is None:
             raise ConfigurationError("resume() needs a checkpoint_dir")
@@ -303,6 +318,7 @@ class ShardedRunner:
                     self.checkpoint_every,
                     self.keep,
                     self._resume_requested,
+                    self.workers,
                 ),
                 daemon=True,
                 name=f"repro-shard-{shard}",
@@ -316,7 +332,7 @@ class ShardedRunner:
             self._collect(self.start_offsets)
             start_offset = min(self.shard_offsets)
             self.offset = start_offset
-            self._buffers: List[List[AcceptedBlock]] = [[] for _ in range(self.workers)]
+            self._buffers: List[list] = [[] for _ in range(self.workers)]
             size = self.chunk_records * self.workers  # ~one message per shard
             replay = start_offset if self._resume_requested and self.guard.active else 0
             records = iter(self.source.records(start_offset - replay))
@@ -371,37 +387,46 @@ class ShardedRunner:
         self.offset = last.offset + 1
 
     def _route(self, block: AcceptedBlock) -> None:
-        # shard_of is symmetric in (u, v), so an edge's delete always
-        # lands on the shard that saw its add — the counter algebra
-        # cancels locally whenever the ops meet in one shard, and still
-        # merges exactly when they don't (resume can split them).
-        shards = shard_of_array(block.us, block.vs, self.workers, self.config.seed)
-        # Records already reflected in their shard's checkpoint: a
-        # resume replays from min(shard offsets) and skips per shard,
-        # never double-counting.
-        fresh = block.offsets >= np.asarray(self.shard_offsets)[shards]
-        self._m_replayed.inc(int(len(fresh) - np.count_nonzero(fresh)))
+        # Each record is two arrivals, sketch(u) <- v and sketch(v) <- u,
+        # each owned by its target's shard: one owner sees a vertex's
+        # adds and deletes in stream order.  An arrival already in its
+        # shard's checkpoint is not sent again (a resume replays from
+        # min(shard offsets) and skips per shard, never double-counting).
+        starts = np.asarray(self.shard_offsets)
+        owners_u = owner_of_array(block.us, self.workers, self.config.seed)
+        owners_v = owner_of_array(block.vs, self.workers, self.config.seed)
+        fresh_u = block.offsets >= starts[owners_u]
+        fresh_v = block.offsets >= starts[owners_v]
+        # A record counts once, at the shard that owns its u.
+        self._m_replayed.inc(int(len(fresh_u) - np.count_nonzero(fresh_u)))
         for shard in range(self.workers):
-            mine = np.flatnonzero(fresh & (shards == shard))
+            mine_u = fresh_u & (owners_u == shard)
+            sides = (mine_u * U_SIDE | (fresh_v & (owners_v == shard)) * V_SIDE).astype(np.uint8)
+            mine = np.flatnonzero(sides)
             if len(mine):
-                self._buffers[shard].append(AcceptedBlock(*(column[mine] for column in block)))
-                self._m_ok[shard].inc(len(mine))
+                self._buffers[shard].append(
+                    (AcceptedBlock(*(column[mine] for column in block)), sides[mine])
+                )
+                self._m_ok[shard].inc(int(np.count_nonzero(mine_u)))
                 self._send(shard, self.chunk_records)
 
     def _send(self, shard: int, least: int) -> None:
         """Send a shard's buffered records in chunks of ``chunk_records``
         while at least ``least`` are buffered."""
         buffered = self._buffers[shard]
-        pending = sum(len(part.offsets) for part in buffered)
+        pending = sum(len(sides) for _, sides in buffered)
         if pending < least:
             return
-        block = AcceptedBlock.concatenate(buffered)
+        block = AcceptedBlock.concatenate([part for part, _ in buffered])
+        sides = np.concatenate([sides for _, sides in buffered])
         start = 0
         while pending - start >= max(least, 1):
             stop = min(pending, start + self.chunk_records)
-            self._put(shard, ("edges", block.part(start, stop)))
+            self._put(shard, ("edges", block.part(start, stop), sides[start:stop]))
             start = stop
-        self._buffers[shard] = [block.part(start, pending)] if start < pending else []
+        self._buffers[shard] = (
+            [(block.part(start, pending), sides[start:pending])] if start < pending else []
+        )
 
     # ------------------------------------------------------------------
     # Worker liveness and message plumbing
@@ -435,6 +460,8 @@ class ShardedRunner:
             self.shard_offsets[shard] = payload["offset"]
             self.shard_records[shard] = payload["records_ok"]
             self._m_checkpoints.inc(payload["checkpoints_written"])
+        elif kind == "refused":
+            raise ConfigurationError(f"shard {shard}: {message[2]}")
         elif kind == "error":
             raise WorkerCrashError(
                 f"shard {shard} worker raised:\n{message[2]}",

@@ -1,25 +1,37 @@
-"""The shard worker: one process, one predictor shard, one checkpoint dir.
+"""The shard worker: one process, the vertices it owns, one checkpoint dir.
 
-Each worker owns a *full-configuration*
-:class:`~repro.core.predictor.MinHashLinkPredictor` (same ``k``, same
-seed, same hash bank as every sibling — mergeability requires equal
-configs) and consumes only the edges the coordinator routes to its
-shard.  The protocol over the bounded task queue:
+Each worker holds a predictor of the shared configuration (same ``k``,
+same seed, same hash bank as every sibling) with sketch rows for the
+vertices it owns (:func:`~repro.parallel.partition.owner_of`) and no
+others: the coordinator sends it the arrivals whose target it owns, so
+its store, degree table and checkpoints cover ~1/W of the vertices.
+The protocol over the bounded task queue:
 
-* ``("edges", block)`` — an :class:`~repro.stream.admission.AcceptedBlock`
-  of validated records owned by this shard, as columns (global stream
-  offsets ascending, endpoints, delete flags, timestamps; the
-  coordinator guard admits deletes only under a dynamic configuration),
+* ``("edges", block, sides)`` — an
+  :class:`~repro.stream.admission.AcceptedBlock` of validated records
+  with an arrival of this shard's (global stream offsets ascending,
+  endpoints, delete flags, timestamps; the coordinator guard admits
+  deletes only under a dynamic configuration), and a ``uint8`` column
+  saying which arrivals of each record it owns
+  (:data:`~repro.core.block.U_SIDE` for ``sketch(u) <- v``,
+  :data:`~repro.core.block.V_SIDE` for ``sketch(v) <- u``),
 * ``("finish",)`` — the source is exhausted: write a final checkpoint
   (so a completed stream never replays) and report the shard state,
 * ``("halt",)`` — stop *without* a final checkpoint.  This is what a
   coordinator-side ``max_records`` drill sends: the on-disk state then
   looks exactly like a crash, which the recovery suite exploits.
 
+A shard counts a record as its own when it owns the record's ``u``:
+that count is its ``records_ok`` (so the shards' counts sum to the
+run's), and it sets the checkpoint cadence, a checkpoint after every
+``checkpoint_every`` counted records.
+
 Results flow back on a shared queue: ``("ready", shard, offset,
 generation)`` after startup/resume, ``("done", shard, payload)`` on
-completion (counters and offsets only), ``("error", shard, traceback)``
-on an unhandled exception.
+completion (counters and offsets only), ``("refused", shard, message)``
+on a :class:`~repro.errors.ConfigurationError` (such as a resume that
+finds checkpoints of another partition), ``("error", shard,
+traceback)`` on any other unhandled exception.
 
 The shard's state never crosses the queue.  Before ``done``, the
 worker writes it to a one-way pipe of its own (:func:`send_state`; the
@@ -36,11 +48,15 @@ a second copy of the state.
 Checkpointing reuses :class:`~repro.stream.checkpoint.CheckpointManager`
 unchanged, one manager per shard in its own subdirectory
 (``<root>/shard-03/checkpoint-<gen>.npz``).  A shard checkpoint embeds
-the *global* stream offset of its last applied edge + 1; because the
-coordinator routes each shard's records in ascending offset order,
-"every record of mine below this offset is reflected" holds per shard,
+the *global* stream offset of its last applied record + 1; because the
+coordinator routes each shard's arrivals in ascending offset order,
+"every arrival of mine below this offset is reflected" holds per shard,
 and resume is exact shard-by-shard even when workers die at different
-points.
+points.  Every shard checkpoint is also stamped with the worker count
+and :data:`~repro.parallel.partition.PARTITION_SCHEME`; a resume whose
+partition differs from the stamp (or that finds no stamp) is refused
+with :class:`~repro.errors.ConfigurationError`, since its arrivals
+would reach shards that never checkpointed them.
 """
 
 from __future__ import annotations
@@ -51,12 +67,14 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.block import U_SIDE
 from repro.core.config import SketchConfig
 from repro.core.dynamic import DynamicArrays, DynamicMinHashPredictor
-from repro.errors import WorkerCrashError
+from repro.errors import ConfigurationError, WorkerCrashError
 from repro.core.predictor import ROW_CHUNK, MinHashLinkPredictor
+from repro.parallel.partition import PARTITION_SCHEME
 from repro.stream.admission import fold_block
-from repro.stream.checkpoint import CheckpointManager
+from repro.stream.checkpoint import Checkpoint, CheckpointManager
 
 __all__ = [
     "shard_worker_main",
@@ -146,6 +164,26 @@ class _PipedShard:
             yield chunk_values, chunk_witnesses
 
 
+def _check_partition(checkpoint: Checkpoint, stamp: dict) -> None:
+    """Refuse to resume from ``checkpoint`` unless its metadata carries
+    this run's partition ``stamp``, raising
+    :class:`~repro.errors.ConfigurationError`."""
+    metadata = checkpoint.metadata or {}
+    found = {key: metadata.get(key) for key in stamp}
+    if found == stamp:
+        return
+    if found["partition"] is None:
+        written = "by an edge-partitioned run, with no partition stamp"
+    else:
+        written = f"by {found['workers']} workers under partition scheme {found['partition']}"
+    raise ConfigurationError(
+        f"partition mismatch: checkpoint {checkpoint.path} was written {written}, "
+        f"but this run has {stamp['workers']} workers under partition scheme "
+        f"{stamp['partition']}; resume with the writer's worker count, or ingest "
+        "into a fresh checkpoint directory"
+    )
+
+
 def shard_worker_main(
     shard: int,
     task_queue,
@@ -156,17 +194,22 @@ def shard_worker_main(
     checkpoint_every: int,
     keep: int,
     resume: bool,
+    workers: int,
 ) -> None:
     """Entry point of one shard worker process (top-level: spawn-safe).
 
-    Each routed block folds into the shard's predictor at once
-    (:func:`~repro.stream.admission.fold_block`, the serial runner's
-    sink), cut only at the shard's checkpoint boundaries, so checkpoints
-    land at the per-record offsets and crash recovery stays
-    bit-identical.
-    ``state_pipe`` is the send end of the shard's one-way state pipe.
+    Each routed block folds its owned arrivals into the shard's
+    predictor at once (:func:`~repro.stream.admission.fold_block`, the
+    serial runner's sink), cut only at the shard's checkpoint
+    boundaries, so checkpoints land at the per-record offsets and crash
+    recovery stays bit-identical.
+    ``state_pipe`` is the send end of the shard's one-way state pipe;
+    ``workers`` is the run's shard count, which the checkpoints' stamp
+    records.
     """
     try:
+        # Every checkpoint's partition: a resume under another is refused.
+        stamp = {"workers": workers, "partition": PARTITION_SCHEME}
         manager = None
         if checkpoint_dir:
             manager = CheckpointManager(
@@ -181,11 +224,13 @@ def shard_worker_main(
         if resume and manager is not None:
             checkpoint = manager.load_latest()
             if checkpoint is not None:
+                _check_partition(checkpoint, stamp)
                 predictor = checkpoint.state
                 offset = checkpoint.offset
                 generation = checkpoint.generation
         result_queue.put(("ready", shard, offset, generation))
 
+        saved = offset  # the offset the newest checkpoint holds
         records_ok = 0
         checkpoints_written = 0
         since_checkpoint = 0
@@ -193,25 +238,30 @@ def shard_worker_main(
             message = task_queue.get()
             kind = message[0]
             if kind == "edges":
-                block = message[1]
-                # Replayed records already in a checkpoint are skipped.
-                start = int(np.searchsorted(block.offsets, offset))
-                while start < len(block.offsets):
-                    stop = len(block.offsets)
-                    if checkpoint_every:
-                        stop = min(stop, start + checkpoint_every - since_checkpoint)
-                    fold_block(predictor, block.part(start, stop))
+                block, sides = message[1], message[2]
+                # Positions of the records this shard counts (it owns u).
+                counted = np.flatnonzero(sides & U_SIDE)
+                start = folded = 0
+                while start < len(sides):
+                    stop = len(sides)
+                    due = checkpoint_every - since_checkpoint
+                    if checkpoint_every and folded + due <= len(counted):
+                        stop = int(counted[folded + due - 1]) + 1
+                    fold_block(predictor, block.part(start, stop), sides[start:stop])
                     offset = int(block.offsets[stop - 1]) + 1
-                    records_ok += stop - start
-                    since_checkpoint += stop - start
+                    count = int(np.searchsorted(counted, stop)) - folded
+                    folded += count
+                    records_ok += count
+                    since_checkpoint += count
                     start = stop
                     if checkpoint_every and since_checkpoint >= checkpoint_every:
-                        manager.save(predictor, offset)
+                        manager.save(predictor, offset, stamp=stamp)
                         checkpoints_written += 1
                         since_checkpoint = 0
+                        saved = offset
             elif kind in ("finish", "halt"):
-                if kind == "finish" and manager is not None and since_checkpoint:
-                    manager.save(predictor, offset)
+                if kind == "finish" and manager is not None and offset > saved:
+                    manager.save(predictor, offset, stamp=stamp)
                     checkpoints_written += 1
                 break
             else:  # pragma: no cover - protocol misuse is a coordinator bug
@@ -231,6 +281,8 @@ def shard_worker_main(
                 },
             )
         )
+    except ConfigurationError as error:
+        result_queue.put(("refused", shard, str(error)))
     except Exception:  # noqa: BLE001 - forwarded verbatim to the coordinator
         result_queue.put(("error", shard, traceback.format_exc()))
     finally:

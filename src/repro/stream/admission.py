@@ -9,8 +9,9 @@ to the sink, anything else becomes a dead letter, a counted drop, or a
 sink is the only thing that differs between the runners — the serial
 :class:`~repro.stream.runner.StreamRunner` folds each accepted block
 into a local predictor with :func:`fold_block`, the sharded
-:class:`~repro.parallel.ShardedRunner` routes them to the worker that
-owns their shard (and the worker folds each routed block with the same
+:class:`~repro.parallel.ShardedRunner` routes each record's two
+arrivals to the workers owning their target vertices (and each worker
+folds its routed block, with the arrivals it owns, through the same
 :func:`fold_block`).
 
 Records arrive in chunks (:meth:`Admission.admit_chunk`).  The text
@@ -400,13 +401,16 @@ class Admission:
         }
 
 
-def fold_block(predictor, block: AcceptedBlock) -> None:
+def fold_block(predictor, block: AcceptedBlock, sides: Optional[np.ndarray] = None) -> None:
     """Apply a block of accepted records to ``predictor``, in order.
 
     The block is split only where the op changes between add and
     delete; each run goes through the predictor's
     ``update_block``/``delete_block`` in one call (:func:`fold_run`),
     which equals the per-record ``update``/``delete`` loop bit for bit.
+    ``sides`` (per record, a mask of :data:`~repro.core.block.U_SIDE`
+    and :data:`~repro.core.block.V_SIDE`) applies only the arrivals a
+    shard worker owns; ``None`` applies both.
     """
     deletes = block.deletes
     cuts = (np.flatnonzero(deletes[1:] != deletes[:-1]) + 1).tolist()
@@ -417,23 +421,29 @@ def fold_block(predictor, block: AcceptedBlock) -> None:
             block.us[start:stop],
             block.vs[start:stop],
             block.timestamps[start:stop],
+            None if sides is None else sides[start:stop],
         )
 
 
-def fold_run(predictor, delete: bool, us, vs, timestamps) -> None:
-    """Apply one run of same-op records: a single record through the
-    scalar ``update``/``delete`` (block setup costs more than it saves
-    on one edge), more through ``update_block``/``delete_block``."""
+def fold_run(predictor, delete: bool, us, vs, timestamps, sides=None) -> None:
+    """Apply one run of same-op records: a single whole record through
+    the scalar ``update``/``delete`` (block setup costs more than it
+    saves on one edge), anything else through
+    ``update_block``/``delete_block`` (``sides`` as for
+    :func:`fold_block`)."""
+    chosen = () if sides is None else (sides,)
     if not isinstance(predictor, DynamicMinHashPredictor):
         # Append-only predictors never see a delete: admission
         # dead-letters them before they reach a sink.
-        if len(us) == 1:
+        if len(us) == 1 and not chosen:
             predictor.update(int(us[0]), int(vs[0]))
         else:
-            predictor.update_block(us, vs)
-    elif len(us) == 1:
+            predictor.update_block(us, vs, *chosen)
+    elif len(us) == 1 and not chosen:
         (predictor.delete if delete else predictor.update)(
             int(us[0]), int(vs[0]), float(timestamps[0])
         )
     else:
-        (predictor.delete_block if delete else predictor.update_block)(us, vs, timestamps)
+        (predictor.delete_block if delete else predictor.update_block)(
+            us, vs, timestamps, *chosen
+        )

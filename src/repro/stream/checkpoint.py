@@ -45,14 +45,16 @@ PathLike = Union[str, Path]
 class Checkpoint(NamedTuple):
     """A successfully loaded checkpoint: state (what
     :meth:`CheckpointManager.load_latest`'s builder made, the predictor
-    by default) + resume position, and the ingest guard's arrays when
-    they were asked for and saved."""
+    by default) + resume position, the ingest guard's arrays when they
+    were asked for and saved, and every integer metadata field the
+    writer stored (``stream_offset``, ``generation`` and its stamps)."""
 
     state: Any
     offset: int
     generation: int
     path: Path
     guard: Optional[Dict[str, np.ndarray]] = None
+    metadata: Optional[Dict[str, int]] = None
 
 
 class CheckpointManager:
@@ -112,13 +114,15 @@ class CheckpointManager:
         predictor: MinHashLinkPredictor,
         offset: int,
         guard: Optional[Mapping[str, np.ndarray]] = None,
+        stamp: Optional[Mapping[str, int]] = None,
     ) -> Path:
         """Write the next generation atomically; returns its path.
 
         Embeds ``offset`` (records consumed from the source, including
         dead-lettered ones) so resume knows exactly where to continue,
-        and the ingest guard's arrays when given (one archive, so one
-        ``os.replace`` publishes both).
+        the ingest guard's arrays when given (one archive, so one
+        ``os.replace`` publishes both), and ``stamp``'s integer fields
+        in the checkpoint metadata (a shard worker's partition).
         Old generations beyond ``keep`` and stray temp files from
         crashed writers are removed *after* the new file is durable.
         """
@@ -127,7 +131,7 @@ class CheckpointManager:
         save_predictor(
             predictor,
             path,
-            metadata={"stream_offset": offset, "generation": generation},
+            metadata={**(stamp or {}), "stream_offset": offset, "generation": generation},
             metrics=self.metrics,
             guard=guard,
         )
@@ -186,6 +190,7 @@ class CheckpointManager:
                 generation,
                 path,
                 verified.guard,
+                verified.metadata,
             )
         if first_error is not None:
             raise first_error

@@ -331,6 +331,7 @@ class TestWorkerCrashRecovery:
             checkpoint_every=0,
             keep=1,
             resume=False,
+            workers=4,
         )
         assert result_queue.get(timeout=1)[0] == "ready"
         kind, shard, forwarded = result_queue.get(timeout=1)

@@ -13,7 +13,9 @@ earliest-arrival witness rule), batches straddling seen and unseen
 vertices, pre-seeded predictors (equal batch minima must *not* steal
 the pre-batch witness), empty batches, both degree modes, and any slab
 size (hub segments longer than a slab, slabs ending on a segment
-boundary).
+boundary).  With a ``sides`` column the same law holds for the chosen
+arrivals only: a shard worker's one-sided fold equals the scalar loop
+restricted to the arrivals it owns.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MinHashLinkPredictor, SketchConfig
+from repro.core import DynamicMinHashPredictor, MinHashLinkPredictor, SketchConfig
 from repro.core import block as block_module
 from repro.errors import ConfigurationError
 from repro.hashing import HashBank
@@ -221,3 +223,93 @@ class TestSlabbing:
         config = SketchConfig(k=8, seed=4, track_witnesses=track)
         scalar, block = _pair(config, [(0, 1), (3, 10)], batch)
         assert _state(scalar) == _state(block)
+
+
+def _one_sided_reference(predictor, batch, sides, timestamps=None, delete=False):
+    """The scalar loop restricted to the chosen arrivals: for each edge,
+    ``sketch(u) <- v`` if its ``U_SIDE`` bit is set, then ``sketch(v)
+    <- u`` if its ``V_SIDE`` bit is, each exactly as ``update`` (or a
+    dynamic ``update``/``delete``) applies it."""
+    dynamic = isinstance(predictor, DynamicMinHashPredictor)
+    for index, ((u, v), side) in enumerate(zip(batch, sides)):
+        stamp = 0.0 if timestamps is None else timestamps[index]
+        for target, key, bit in ((u, v, block_module.U_SIDE), (v, u, block_module.V_SIDE)):
+            if not side & bit:
+                continue
+            if dynamic:
+                sketch = predictor._sketch_of(target)
+                (sketch.remove if delete else sketch.add)(key, stamp)
+            else:
+                predictor._insert(predictor._row_of(target), key, predictor.bank.values(key))
+                predictor._degrees.increment(target)
+        if dynamic:
+            predictor._observe_time(stamp)
+
+
+def _dynamic_state(predictor):
+    return [
+        np.asarray(column).tobytes() for column in predictor.export_dynamic_arrays()
+    ], _state(predictor)
+
+
+sided_batches = edge_batches.flatmap(
+    lambda batch: st.tuples(
+        st.just(batch),
+        st.lists(st.integers(1, 3), min_size=len(batch), max_size=len(batch)),
+    )
+)
+
+
+class TestChosenArrivals:
+    """``update_block(us, vs, sides)`` applies only the arrivals a shard
+    owns — bit-identical to the scalar loop over just those arrivals."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        edge_batches,
+        sided_batches,
+        st.sampled_from([2, 4, 16]),
+        st.booleans(),
+        st.sampled_from(["exact", "countmin"]),
+    )
+    def test_append_equals_the_one_sided_scalar_loop(self, prefix, sided, k, track, degrees):
+        batch, sides = sided
+        config = SketchConfig(k=k, seed=6, track_witnesses=track, degree_mode=degrees)
+        scalar, block = MinHashLinkPredictor(config), MinHashLinkPredictor(config)
+        for predictor in (scalar, block):
+            predictor.update_block([u for u, _ in prefix], [v for _, v in prefix])
+        _one_sided_reference(scalar, batch, sides)
+        applied = block.update_block(
+            [u for u, _ in batch], [v for _, v in batch], np.array(sides, dtype=np.uint8)
+        )
+        assert applied == len(batch)
+        assert _state(scalar) == _state(block)
+
+    @settings(max_examples=60, deadline=None)
+    @given(edge_batches, sided_batches, st.booleans(), st.integers(0, 2**16))
+    def test_dynamic_equals_the_one_sided_scalar_loop(self, prefix, sided, delete, seed):
+        batch, sides = sided
+        config = SketchConfig(k=8, seed=seed, dynamic_mode=True)
+        stamps = [float((seed + index) % 7) for index in range(len(batch))]
+        scalar, block = DynamicMinHashPredictor(config), DynamicMinHashPredictor(config)
+        for predictor in (scalar, block):
+            predictor.update_block([u for u, _ in prefix], [v for _, v in prefix])
+        _one_sided_reference(scalar, batch, sides, stamps, delete)
+        fold = block.delete_block if delete else block.update_block
+        fold([u for u, _ in batch], [v for _, v in batch], stamps, np.array(sides, dtype=np.uint8))
+        assert _dynamic_state(scalar) == _dynamic_state(block)
+
+    def test_full_sides_equal_the_plain_batch(self):
+        batch = [(0, 1), (1, 2), (2, 0), (0, 1), (3, 4)]
+        us, vs = [u for u, _ in batch], [v for _, v in batch]
+        plain, sided = MinHashLinkPredictor(SketchConfig(k=4)), MinHashLinkPredictor(SketchConfig(k=4))
+        plain.update_block(us, vs)
+        sided.update_block(us, vs, np.full(len(batch), 3, dtype=np.uint8))
+        assert _state(plain) == _state(sided)
+
+    @pytest.mark.parametrize("sides", [[1, 0], [1, 4], [1], [[1, 1]]])
+    def test_rejects_bad_sides_before_any_mutation(self, sides):
+        predictor = MinHashLinkPredictor(SketchConfig(k=4))
+        with pytest.raises(ConfigurationError):
+            predictor.update_block([0, 1], [1, 2], np.array(sides))
+        assert predictor.vertex_count == 0

@@ -23,7 +23,7 @@ from repro.core import (
 )
 from repro.core.persistence import read_checkpoint
 from repro.errors import ConfigurationError, DeadLetterError
-from repro.parallel.partition import shard_of
+from repro.parallel import owner_of
 from repro.stream import CheckpointManager, IteratorEdgeSource, StreamRunner
 from repro.stream.casebook import sketch_fingerprint
 from repro.stream.policies import PolicySet
@@ -45,6 +45,20 @@ DIRTY = [
     (6, 7),
     (7, 8),
 ]
+
+
+def shard_checkpoint_offsets(accepted, shard, workers, seed, every) -> list:
+    """The offsets one shard's checkpoints hold, in order: one after
+    every ``every``-th accepted record whose ``u`` the shard owns, and
+    a final one after its last record with an arrival it owns."""
+    owners = [
+        (offset + 1, owner_of(typed.u, workers, seed), owner_of(typed.v, workers, seed))
+        for offset, typed in accepted
+    ]
+    counted = [end for end, owner_u, _ in owners if owner_u == shard]
+    last = max(end for end, owner_u, owner_v in owners if shard in (owner_u, owner_v))
+    marks = counted[every - 1 :: every]
+    return marks + ([last] if not marks or last > marks[-1] else [])
 
 
 def run_stream(records, **kwargs):
@@ -201,20 +215,15 @@ class TestFacadeAndSharded:
         resumed = ingest(records, resume=True, **options)
         assert sketch_fingerprint(resumed.predictor) == reference(records, config=config)
 
-        # Each shard checkpoints after every 10th record it owns, and
-        # once more at its last one, across the kill.
+        # Each shard checkpoints after every 10th record whose u it
+        # owns, and once more at its last arrival, across the kill.
         accepted, _ = accepted_records(records, dynamic=dynamic_mode)
         expected, ends = {}, []
         for shard in (0, 1):
-            offsets = [
-                offset + 1
-                for offset, typed in accepted
-                if shard_of(typed.u, typed.v, 2, config.seed) == shard
-            ]
-            marks = offsets[9::10] + ([offsets[-1]] if len(offsets) % 10 else [])
+            marks = shard_checkpoint_offsets(accepted, shard, 2, config.seed, 10)
             for generation, offset in enumerate(marks, start=1):
                 expected[f"shard-{shard:02d}/checkpoint-{generation}.npz"] = offset
-            ends.append(offsets[-1])
+            ends.append(marks[-1])
         observed = {
             path.relative_to(tmp_path).as_posix(): read_checkpoint(path).metadata["stream_offset"]
             for path in tmp_path.glob("shard-*/checkpoint-*.npz")
