@@ -10,7 +10,8 @@ pass over an unbounded friendship stream, with
 
 The stream here is a planted-community graph (synthetic, seeded); in
 production you would pass any iterable of (u, v, timestamp) edges —
-e.g. ``repro.graph.io.iter_edge_list`` over a Kafka dump.
+e.g. a Kafka dump handed to ``repro.api.ingest``, which parses and
+admits each line.
 
 Run:  python examples/social_stream_monitoring.py
 """

@@ -43,7 +43,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.core.config import SketchConfig
 from repro.errors import ConfigurationError, ReproError
@@ -140,6 +142,8 @@ def _resolve_source(source: SourceLike, seed: int, *, max_retries: int = 0):
         resolved = source
     elif isinstance(source, (str, Path)):
         name = str(source)
+        if os.path.isdir(name):
+            raise ReproError(f"{name!r} is a directory, not an edge-list file")
         if os.path.exists(name):
             resolved = FileEdgeSource(name)
         else:
@@ -158,6 +162,44 @@ def _resolve_source(source: SourceLike, seed: int, *, max_retries: int = 0):
     if max_retries:
         resolved = RetryingSource(resolved, RetryPolicy(max_attempts=max_retries))
     return resolved
+
+
+def _accepted_adds(source: SourceLike, seed: int, *, policy: str) -> Tuple[np.ndarray, np.ndarray]:
+    """Read a source to the endpoints of its accepted adds, as int64
+    columns ``(us, vs)`` in stream order.
+
+    The record contract is ``query <source>``'s: the op grammar,
+    self-loops dropped, undecodable bytes ``bad_encoding``, deletes
+    ``unsupported_delete`` (the readers' predictors are append-only).
+    ``policy="strict"`` raises :class:`DeadLetterError` at the first
+    rejected record; ``"quarantine"`` skips rejects, counting nothing.
+    """
+    from repro.stream.admission import CHUNK_RECORDS, Admission, close_records
+    from repro.stream.deadletter import MemoryDeadLetters
+
+    resolved = _resolve_source(source, seed)
+    quiet = MetricsRegistry(enabled=False)
+    admission = Admission(
+        resolved,
+        quiet,
+        quiet.counter("ingest_records_total", labelnames=("outcome",)),
+        dynamic=False,
+        dead_letters=MemoryDeadLetters(capacity=0),
+        policy=policy,
+        self_loops="drop",
+    )
+    us, vs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+
+    def sink(block) -> None:
+        us.append(block.us)
+        vs.append(block.vs)
+
+    records = resolved.records(0)
+    try:
+        admission.consume(records, lambda consumed: CHUNK_RECORDS, sink, lambda last, count: None)
+    finally:
+        close_records(records)
+    return np.concatenate(us), np.concatenate(vs)
 
 
 def ingest(
@@ -472,24 +514,28 @@ def evaluate(
     samples ``pairs`` two-hop candidate pairs (seeded — reruns are
     reproducible), and returns the per-measure error summary
     (``{"jaccard": {"mae": ..., "rmse": ..., "mre": ...}, ...}``) —
-    the programmatic twin of ``repro-linkpred evaluate``.
+    the programmatic twin of ``repro-linkpred evaluate``.  Records the
+    contract rejects (deletes included) are skipped.
     """
+    profile, _ = _evaluate(
+        source, method=method, config=config, measures=measures, pairs=pairs, seed=seed,
+        policy="quarantine",
+    )
+    return profile
+
+
+def _evaluate(source, *, method, config, measures, pairs, seed, policy):
+    """:func:`evaluate`'s body, shared with CLI ``evaluate`` (which
+    reads under ``policy="strict"``); also returns the pair count."""
     from repro.eval.candidates import sample_two_hop_pairs
     from repro.eval.experiments import accuracy_profile
     from repro.exact.oracle import ExactOracle
-    from repro.stream.policies import ContractViolation, coerce_stream_record
 
-    resolved = _resolve_source(source, seed)
+    us, vs = _accepted_adds(source, seed, policy=policy)
     oracle = ExactOracle()
     predictor = build_predictor(config, method=method)
-    for record in resolved.records(0):
-        try:
-            parsed = coerce_stream_record(record, self_loops="drop")
-        except ContractViolation:
-            continue  # accuracy evaluation quarantines silently
-        # The predictor and oracle are append-only: deletes are skipped.
-        if parsed is not None and parsed.op == "add":
-            predictor.update(parsed.u, parsed.v)
-            oracle.update(parsed.u, parsed.v)
+    predictor.update_block(us, vs)
+    oracle.update_block(us, vs)
     candidate_pairs = sample_two_hop_pairs(oracle.graph, pairs, seed=seed)
-    return accuracy_profile(predictor, oracle, candidate_pairs, list(measures))
+    profile = accuracy_profile(predictor, oracle, candidate_pairs, list(measures))
+    return profile, len(candidate_pairs)

@@ -53,8 +53,15 @@ the production runtime (``ingest``, ``query``, ``serve``,
 ``--metrics-every N``) to sample their metrics registry as JSON lines
 that ``monitor`` and any Prometheus bridge can consume.
 
-Input may be a registry dataset name or a path to a SNAP-format edge
-list (``u v [timestamp]`` rows, ``#`` comments).
+Input may be a path to an edge list or, when no such file exists, a
+registry dataset name.  Every verb parses a file with one grammar, that
+of :func:`repro.graph.io.parse_stream_record`: ``u v [timestamp]``
+rows with an optional leading op token (``+``/``add``,
+``-``/``delete``/``del``), ``#``/``%`` comments.  The evaluation verbs
+(``stats``, ``predict``, ``evaluate``, ``discover``, ``triangles``)
+read it as ``query <source>`` does, through ingest's admission
+contract with self-loops dropped, and exit 2 at the first record that
+contract rejects (a delete included: their sketches are append-only).
 """
 
 from __future__ import annotations
@@ -62,13 +69,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 from repro.core.config import SketchConfig
 from repro.errors import ReproError
-
-if TYPE_CHECKING:
-    from repro.graph.stream import Edge
 
 # Each subcommand imports what it runs, so ``ingest``, ``query`` and
 # ``serve`` never load the evaluation harness or the method registry.
@@ -76,19 +80,12 @@ if TYPE_CHECKING:
 __all__ = ["main", "build_parser"]
 
 
-def _load_edges(source: str, seed: int) -> List[Edge]:
-    """Resolve a dataset name or an edge-list path into a stream."""
-    from repro.graph import datasets
-    from repro.graph.io import read_edge_list
+def _read_adds(args: argparse.Namespace):
+    """The verb's source as ``(us, vs)`` columns of its accepted adds;
+    the first record the contract rejects exits 2."""
+    from repro.api import _accepted_adds
 
-    if source in datasets.DATASETS:
-        return datasets.load(source, seed=seed)
-    if os.path.exists(source):
-        return read_edge_list(source)
-    known = ", ".join(datasets.dataset_names())
-    raise ReproError(
-        f"{source!r} is neither a registry dataset ({known}) nor a file path"
-    )
+    return _accepted_adds(args.source, args.seed, policy="strict")
 
 
 def _cmd_datasets(args: argparse.Namespace) -> int:
@@ -123,10 +120,11 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.eval.reporting import format_table
-    from repro.graph.stream import StreamStats
+    from repro.graph.stream import StreamStats, from_pairs
 
     stats = StreamStats()
-    for edge in _load_edges(args.source, args.seed):
+    us, vs = _read_adds(args)
+    for edge in from_pairs(zip(us.tolist(), vs.tolist())):
         stats.observe(edge)
     rows = [
         ["records", stats.records],
@@ -153,7 +151,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     from repro.eval.reporting import format_table
     from repro.exact.oracle import ExactOracle
 
-    edges = _load_edges(args.source, args.seed)
+    us, vs = _read_adds(args)
     oracle = ExactOracle()  # used only to enumerate two-hop candidates
     if args.load_checkpoint:
         predictor = load_predictor(args.load_checkpoint)
@@ -161,9 +159,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         predictor = build_predictor(
             args.method, _config_from_args(args), expected_vertices=None
         )
-    for edge in edges:
-        predictor.update(edge.u, edge.v)
-        oracle.update(edge.u, edge.v)
+    predictor.update_block(us, vs)
+    oracle.update_block(us, vs)
     if args.save_checkpoint:
         saved = save_predictor(predictor, args.save_checkpoint)
         print(f"checkpoint: {saved} vertex sketches -> {args.save_checkpoint}")
@@ -184,23 +181,13 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    from repro.core.registry import build_predictor
-    from repro.eval.candidates import sample_two_hop_pairs
-    from repro.eval.experiments import accuracy_profile
+    from repro.api import _evaluate
     from repro.eval.reporting import format_table
-    from repro.exact.oracle import ExactOracle
 
-    edges = _load_edges(args.source, args.seed)
-    oracle = ExactOracle()
-    predictor = build_predictor(
-        args.method, _config_from_args(args), expected_vertices=None
+    profile, pairs = _evaluate(
+        args.source, method=args.method, config=_config_from_args(args),
+        measures=args.measures.split(","), pairs=args.pairs, seed=args.seed, policy="strict",
     )
-    for edge in edges:
-        predictor.update(edge.u, edge.v)
-        oracle.update(edge.u, edge.v)
-    pairs = sample_two_hop_pairs(oracle.graph, args.pairs, seed=args.seed)
-    measures = args.measures.split(",")
-    profile = accuracy_profile(predictor, oracle, pairs, measures)
     rows = [
         [measure, summary["mae"], summary["rmse"], summary["mre"]]
         for measure, summary in profile.items()
@@ -211,7 +198,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             rows,
             title=(
                 f"{args.method} (k={args.k}) vs exact on {args.source}, "
-                f"{len(pairs)} two-hop pairs"
+                f"{pairs} two-hop pairs"
             ),
         )
     )
@@ -223,9 +210,8 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     from repro.core.predictor import MinHashLinkPredictor
     from repro.eval.reporting import format_table
 
-    edges = _load_edges(args.source, args.seed)
     predictor = MinHashLinkPredictor(SketchConfig(k=args.k, seed=args.seed))
-    predictor.process(edges)
+    predictor.update_block(*_read_adds(args))
     bands, rows = bands_for_threshold(args.k, args.threshold)
     index = LshCandidateIndex(
         predictor.export_arrays(), bands=bands, rows=rows, min_degree=args.min_degree
@@ -255,9 +241,9 @@ def _cmd_triangles(args: argparse.Namespace) -> int:
     from repro.core.triangles import StreamingTriangleCounter
     from repro.eval.reporting import format_table
 
-    edges = _load_edges(args.source, args.seed)
+    us, vs = _read_adds(args)
     counter = StreamingTriangleCounter(SketchConfig(k=args.k, seed=args.seed))
-    counter.process(edges)
+    counter.update_block(us, vs)
     rows = [
         ["edges", counter.edges_seen],
         ["streaming triangle estimate", counter.triangle_estimate()],
@@ -267,7 +253,7 @@ def _cmd_triangles(args: argparse.Namespace) -> int:
         from repro.graph.adjacency import AdjacencyGraph
         from repro.graph.algorithms import triangle_count
 
-        exact = triangle_count(AdjacencyGraph.from_edges(edges))
+        exact = triangle_count(AdjacencyGraph.from_edges(zip(us.tolist(), vs.tolist())))
         rows.append(["exact triangles", exact])
         if exact:
             rows.append(
@@ -426,14 +412,12 @@ def _query_rows(args: argparse.Namespace, engine, reporter=None) -> list:
     if bool(args.pairs_file) == (args.vertex is not None):
         raise ReproError("query needs exactly one of --pairs-file or --vertex")
     if args.pairs_file:
-        from repro.graph.io import read_edge_list
+        from repro.graph.io import read_pairs
 
-        if not os.path.exists(args.pairs_file):
-            raise ReproError(f"pair file {args.pairs_file!r} does not exist")
-        pairs = [
-            (edge.u, edge.v)
-            for edge in read_edge_list(args.pairs_file, allow_self_loops=True)
-        ]
+        if not os.path.isfile(args.pairs_file):
+            raise ReproError(f"pair file {args.pairs_file!r} does not exist or is a directory")
+        with open(args.pairs_file, encoding="utf-8", errors="surrogateescape") as lines:
+            pairs = read_pairs(lines).tolist()
         # Score in --metrics-every sized slices so the reporter samples
         # mid-flight; one slice (= one kernel dispatch loop) otherwise.
         step = args.metrics_every if args.metrics_every else len(pairs) or 1

@@ -14,9 +14,7 @@ __getattr__, __dir__ = lazy_exports(
         "repro.graph.adjacency": ["AdjacencyGraph"],
         "repro.graph.digraph": ["DirectedGraph"],
         "repro.graph.io": [
-            "LineDiagnostic", "VertexRelabeler", "iter_edge_list", "parse_edge_line",
-            "parse_stream_record", "read_edge_list", "scan_edge_list",
-            "write_edge_list",
+            "VertexRelabeler", "parse_stream_record", "read_pairs", "write_edge_list",
         ],
         "repro.graph.stream": [
             "OPS", "Edge", "EdgeStream", "StreamRecord", "StreamStats", "checkpoints",
@@ -45,14 +43,10 @@ __all__ = [
     "deduplicated",
     "edge_key",
     "from_pairs",
-    "iter_edge_list",
-    "LineDiagnostic",
-    "parse_edge_line",
     "parse_stream_record",
-    "scan_edge_list",
     "prefix",
     "rate_profile",
-    "read_edge_list",
+    "read_pairs",
     "shuffled",
     "sort_by_timestamp",
     "time_snapshots",

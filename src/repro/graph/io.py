@@ -9,9 +9,11 @@ with ``#`` comment headers::
     0       2
 
 Temporal datasets add a third column of epoch-second timestamps.  This
-module reads and writes both layouts, so users can run the streaming
-predictors directly on downloaded SNAP files, and experiments can
-persist the synthetic stand-ins in the identical format.
+module parses both layouts (one line with :func:`parse_stream_record`,
+many at once with :func:`parse_edge_block`, a pair list with
+:func:`read_pairs`) and writes them, so experiments can persist the
+synthetic stand-ins in the identical format.  Edge files are read as
+streams by :class:`~repro.stream.sources.FileEdgeSource`.
 
 Vertex labels need not be integers: :class:`VertexRelabeler` maps
 arbitrary string labels to dense non-negative ids (first-appearance
@@ -25,23 +27,19 @@ import math
 import re
 import unicodedata
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.errors import ConfigurationError, StreamFormatError
+from repro.errors import StreamFormatError
 from repro.graph.stream import Edge, StreamRecord
 
 __all__ = [
-    "read_edge_list",
-    "iter_edge_list",
-    "scan_edge_list",
-    "parse_edge_line",
     "parse_stream_record",
     "parse_edge_block",
+    "read_pairs",
     "EdgeBlock",
     "MAX_VERTEX_ID",
-    "LineDiagnostic",
     "write_edge_list",
     "VertexRelabeler",
 ]
@@ -154,14 +152,13 @@ def parse_stream_record(
     line_number: Optional[int] = None,
     default_timestamp: float = 0.0,
     relabeler: Optional["VertexRelabeler"] = None,
-    accept_ops: bool = True,
 ) -> StreamRecord:
     """Parse one data line into a typed :class:`StreamRecord`.
 
-    The single parsing authority: the eager readers below, the legacy
-    :func:`parse_edge_line` wrapper and the fault-tolerant ingestion
-    runtime (:mod:`repro.stream`) all route through this, so "what is a
-    well-formed record" has exactly one definition.  Accepted layouts::
+    The single parsing authority: :func:`read_pairs` and the
+    fault-tolerant ingestion runtime (:mod:`repro.stream`) route
+    through this, so "what is a well-formed record" has exactly one
+    definition.  Accepted layouts::
 
         u v                      # add, timestamp = default_timestamp
         u v timestamp            # add
@@ -184,14 +181,10 @@ def parse_stream_record(
     tag the line ``bad_encoding``.  Timestamps must be finite:
     ``float()`` happily parses ``nan``/``inf``, which would poison
     temporal ordering downstream, so those tag ``nonfinite_timestamp``.
-
-    With ``accept_ops=False`` the operation token is not recognised and
-    the legacy append-only grammar applies (op-looking tokens fall into
-    the vertex-field rejects, exactly as before the record redesign).
     """
     fields = text.split()
     op = "add"
-    if accept_ops and fields:
+    if fields:
         head = fields[0]
         if head in OP_TOKENS:
             op = OP_TOKENS[head]
@@ -348,123 +341,34 @@ def parse_edge_block(lines: Sequence[object]) -> EdgeBlock:
     return EdgeBlock(clean, us, vs, timestamps)
 
 
-def parse_edge_line(
-    text: str,
-    *,
-    line_number: Optional[int] = None,
-    default_timestamp: float = 0.0,
-    relabeler: Optional["VertexRelabeler"] = None,
-) -> Edge:
-    """Parse one append-only SNAP data line (``u v`` or ``u v
-    timestamp``) into an :class:`Edge`.
+def read_pairs(lines: Iterable[str]) -> np.ndarray:
+    """Read a pair list — ``u v`` per line, ``#``/``%`` comments and
+    blank lines skipped — into an ``(m, 2)`` int64 array.
 
-    Back-compat wrapper over :func:`parse_stream_record` with operation
-    tokens disabled: the legacy grammar cannot express deletions, so a
-    ``-``/``delete`` line falls into the usual vertex-field rejects
-    instead of silently becoming an add.  Callers that want the dynamic
-    grammar parse records instead.
+    The format of ``query --pairs-file`` and of ``/v1/score`` text
+    bodies.  A line is parsed as a record, so a third field (a
+    timestamp) is allowed and ignored, a self-pair is kept, and a bad
+    line raises :class:`StreamFormatError` with its physical line
+    number and reason slug; a delete record is no pair (``bad_op``).
     """
-    record = parse_stream_record(
-        text,
-        line_number=line_number,
-        default_timestamp=default_timestamp,
-        relabeler=relabeler,
-        accept_ops=False,
-    )
-    return record.edge
-
-
-class LineDiagnostic(NamedTuple):
-    """One data line's parse outcome: exactly one of ``record``/``error``
-    is set.  ``raw`` is the stripped line text for dead-letter triage."""
-
-    line_number: int
-    raw: str
-    error: Optional[StreamFormatError] = None
-    record: Optional[StreamRecord] = None
-
-
-def scan_edge_list(
-    path: PathLike,
-    relabeler: Optional["VertexRelabeler"] = None,
-    allow_self_loops: bool = False,
-) -> Iterator[LineDiagnostic]:
-    """Stream per-line parse diagnostics instead of aborting on the
-    first malformed line.
-
-    Yields one :class:`LineDiagnostic` per data line — a parsed
-    ``record`` or the typed ``error`` (with ``.reason``) it produced —
-    which is exactly the shape a dead-letter channel wants.  Comments
-    and blank lines are skipped; dropped self-loops (when
-    ``allow_self_loops`` is false) are skipped silently, matching
-    :func:`iter_edge_list`.  The legacy append-only grammar applies:
-    op tokens are not recognised, so every record is an ``add``.
-    """
-    index = 0
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text or text.startswith(("#", "%")):
-                continue
-            try:
-                record = parse_stream_record(
-                    text,
-                    line_number=line_number,
-                    default_timestamp=float(index),
-                    relabeler=relabeler,
-                    accept_ops=False,
-                )
-            except StreamFormatError as error:
-                yield LineDiagnostic(line_number, text, error=error)
-                continue
-            if record.u == record.v and not allow_self_loops:
-                continue  # SNAP files occasionally carry self-loops; drop them
-            yield LineDiagnostic(line_number, text, record=record)
-            index += 1
-
-
-def iter_edge_list(
-    path: PathLike,
-    relabeler: Optional["VertexRelabeler"] = None,
-    allow_self_loops: bool = False,
-    on_error: str = "raise",
-) -> Iterator[Edge]:
-    """Stream edges from a SNAP-format file without materialising it.
-
-    Lines are ``u v`` or ``u v timestamp``; ``#`` and blank lines are
-    skipped.  When a ``relabeler`` is supplied, raw tokens are treated
-    as opaque labels and mapped through it; otherwise tokens must be
-    non-negative integers already.  Two-column rows are timestamped by
-    their (data-)line index.
-
-    ``on_error`` selects the malformed-line policy: ``"raise"`` (the
-    default) raises :class:`StreamFormatError` with the offending line
-    number; ``"skip"`` silently drops bad lines and keeps streaming —
-    use :func:`scan_edge_list` instead when the *reasons* matter.
-    """
-    if on_error not in ("raise", "skip"):
-        raise ConfigurationError(
-            f'on_error must be "raise" or "skip", got {on_error!r}'
-        )
-    for diagnostic in scan_edge_list(path, relabeler, allow_self_loops):
-        if diagnostic.error is not None:
-            if on_error == "raise":
-                raise diagnostic.error
-            continue
-        assert diagnostic.record is not None
-        yield diagnostic.record.edge
-
-
-def read_edge_list(
-    path: PathLike,
-    relabeler: Optional["VertexRelabeler"] = None,
-    allow_self_loops: bool = False,
-    on_error: str = "raise",
-) -> List[Edge]:
-    """Read a whole SNAP-format edge list into memory (see
-    :func:`iter_edge_list` for the streaming variant and the format
-    details)."""
-    return list(iter_edge_list(path, relabeler, allow_self_loops, on_error))
+    numbered = []
+    for line_number, line in enumerate(lines, start=1):
+        text = line.strip()
+        if text and not text.startswith(("#", "%")):
+            numbered.append((line_number, text))
+    block = parse_edge_block([text for _, text in numbered])
+    pairs = np.stack([block.us, block.vs], axis=1)
+    for index in np.flatnonzero(~block.clean).tolist():
+        line_number, text = numbered[index]
+        record = parse_stream_record(text, line_number=line_number)
+        if record.op != "add":
+            raise StreamFormatError(
+                f"op: {record.op!r} record where a pair was expected",
+                line_number=line_number,
+                reason="bad_op",
+            )
+        pairs[index] = record.u, record.v
+    return pairs
 
 
 def write_edge_list(

@@ -28,10 +28,10 @@ every response carries ``X-Repro-Api-Version`` naming the version that
 answered it):
 
 * ``POST /v1/score`` — score a pair batch.  Body is JSON
-  (``{"pairs": [[u, v], ...], "measure": "jaccard"}``) or the CLI's
-  pair-file text format (``u v`` lines, ``#`` comments); responses are
-  JSON or CSV (``?format=csv``), in the exact shapes ``repro-linkpred
-  query`` emits.
+  (``{"pairs": [[u, v], ...], "measure": "jaccard"}``, ids JSON
+  integers) or the CLI's pair-file text format (``u v`` lines, ``#``
+  comments); responses are JSON or CSV (``?format=csv``), in the exact
+  shapes ``repro-linkpred query`` emits.
 * ``GET /v1/topk/<vertex>`` — the engine's pruned top-k
   (``?measure=&k=&prune=``).
 * ``GET /v1/healthz`` — liveness + the runner/engine ``stats()`` dicts.
@@ -71,7 +71,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ReproError
 from repro.exact.measures import measure_by_name
-from repro.graph.io import parse_edge_line
+from repro.graph.io import MAX_VERTEX_ID, read_pairs
 from repro.obs.export import render_prometheus, snapshot
 from repro.obs.registry import MetricsRegistry
 from repro.serve.engine import QueryEngine
@@ -318,6 +318,27 @@ class _IngestWorker(threading.Thread):
         except BaseException as error:  # noqa: BLE001 — surfaced via /healthz
             self.error = error
             server._note_worker_error(error)
+
+
+def _json_pairs(rows: list) -> np.ndarray:
+    """JSON ``[[u, v], ...]`` rows → an ``(m, 2)`` int64 batch.
+
+    An id must be a JSON integer in ``[0, MAX_VERTEX_ID]``: a bool, a
+    float or a string is refused (``np.asarray`` would coerce each into
+    some id), and so is a negative id, as in a text body.  The 400
+    names the first bad pair by its index.
+    """
+    for index, row in enumerate(rows):
+        if type(row) is list and len(row) == 2:
+            u, v = row
+            if type(u) is type(v) is int and 0 <= min(u, v) and max(u, v) <= MAX_VERTEX_ID:
+                continue
+        raise _HttpError(
+            400,
+            f"pairs[{index}]: {json.dumps(row)[:80]} is not [u, v] with integer ids "
+            f"in [0, {MAX_VERTEX_ID}]",
+        )
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 2)
 
 
 class SketchServer:
@@ -838,7 +859,7 @@ class SketchServer:
         """Decode a /score body into an ``(m, 2)`` int64 batch.
 
         JSON bodies may also carry the measure; text bodies are the
-        CLI's pair-file format (``u v`` per line, ``#`` comments).
+        CLI's pair-file format (:func:`~repro.graph.io.read_pairs`).
         """
         content_type = request.headers.get("content-type", "").split(";")[0].strip()
         measure = None
@@ -858,30 +879,16 @@ class SketchServer:
                 raise _HttpError(400, "JSON body must be an object or a pair list")
             if not isinstance(raw_pairs, list):
                 raise _HttpError(400, 'JSON body needs a "pairs" list of [u, v] pairs')
-            try:
-                pairs = np.asarray(raw_pairs, dtype=np.int64)
-            except (TypeError, ValueError, OverflowError) as error:
-                raise _HttpError(400, f"pairs are not integer [u, v] rows: {error}") from None
-            if pairs.size == 0:
-                pairs = pairs.reshape(0, 2)
-            if pairs.ndim != 2 or pairs.shape[1] != 2:
-                raise _HttpError(400, f"pairs must be (m, 2), got shape {pairs.shape}")
+            pairs = _json_pairs(raw_pairs)
         else:
             try:
                 text = request.body.decode("utf-8")
             except UnicodeDecodeError as error:
                 raise _HttpError(400, f"text body is not UTF-8: {error}") from None
-            rows = []
-            for line_number, line in enumerate(text.splitlines(), start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith(("#", "%")):
-                    continue
-                try:
-                    edge = parse_edge_line(stripped, line_number=line_number)
-                except ReproError as error:
-                    raise _HttpError(400, f"pair line {line_number}: {error}") from None
-                rows.append((edge.u, edge.v))
-            pairs = np.asarray(rows, dtype=np.int64).reshape(len(rows), 2)
+            try:
+                pairs = read_pairs(text.splitlines())
+            except ReproError as error:
+                raise _HttpError(400, f"pair {error}") from None  # "pair line N: ..."
         if len(pairs) > self.max_request_pairs:
             raise _HttpError(
                 413,

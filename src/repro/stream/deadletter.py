@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 #: The closed vocabulary of dead-letter reasons the runner emits.
-#: Parse-level reasons come from :func:`repro.graph.io.parse_edge_line`
+#: Parse-level reasons come from :func:`repro.graph.io.parse_stream_record`
 #: and the tuple-record contract; stream-level reasons from the
 #: :class:`~repro.stream.policies.StreamGuard` casebook (only emitted
 #: when a :class:`~repro.stream.policies.PolicySet` is active).  Each

@@ -6,9 +6,12 @@ silent wrong answer.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core import MinHashLinkPredictor, SketchConfig
 from repro.core.persistence import load_predictor, save_predictor
 from repro.errors import (
@@ -16,9 +19,8 @@ from repro.errors import (
     ConfigurationError,
     ReproError,
     SketchStateError,
-    StreamFormatError,
 )
-from repro.graph import from_pairs, read_edge_list
+from repro.graph import from_pairs
 from tests.conftest import TOY_EDGES
 
 
@@ -55,33 +57,44 @@ class TestCorruptedCheckpoints:
 
 
 class TestHostileStreamFiles:
-    def test_binary_garbage_mid_file(self, tmp_path):
+    """Every evaluation verb reads a file through the record contract:
+    a bad line exits 2 with one error line naming it."""
+
+    @staticmethod
+    def _stats(path, capsys):
+        code = main(["stats", str(path)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_binary_garbage_mid_file(self, tmp_path, capsys):
         path = tmp_path / "garbage.txt"
         path.write_bytes(b"0 1\n\xff\xfe garbage \x00\n2 3\n")
-        with pytest.raises(StreamFormatError, match="line 2"):
-            read_edge_list(path)
+        code, _, err = self._stats(path, capsys)
+        assert code == 2 and "(line 2)" in err and len(err.splitlines()) == 1
 
-    def test_huge_field_count(self, tmp_path):
+    def test_huge_field_count(self, tmp_path, capsys):
         path = tmp_path / "wide.txt"
         path.write_text("0 1 2 3 4 5 6 7 8 9\n")
-        with pytest.raises(StreamFormatError):
-            read_edge_list(path)
+        code, _, err = self._stats(path, capsys)
+        assert code == 2 and "10 fields" in err
 
-    def test_float_vertex_ids_rejected(self, tmp_path):
+    def test_float_vertex_ids_rejected(self, tmp_path, capsys):
         path = tmp_path / "floats.txt"
         path.write_text("1.5 2.5\n")
-        with pytest.raises(StreamFormatError):
-            read_edge_list(path)
+        code, _, err = self._stats(path, capsys)
+        assert code == 2 and "non-integer id '1.5'" in err
 
-    def test_empty_file_is_empty_stream(self, tmp_path):
+    def test_empty_file_is_empty_stream(self, tmp_path, capsys):
         path = tmp_path / "empty.txt"
         path.write_text("")
-        assert read_edge_list(path) == []
+        code, out, _ = self._stats(path, capsys)
+        assert code == 0 and re.search(r"^records +0$", out, re.M)
 
-    def test_comment_only_file(self, tmp_path):
+    def test_comment_only_file(self, tmp_path, capsys):
         path = tmp_path / "comments.txt"
         path.write_text("# nothing\n# here\n")
-        assert read_edge_list(path) == []
+        code, out, _ = self._stats(path, capsys)
+        assert code == 0 and re.search(r"^records +0$", out, re.M)
 
 
 class TestHostileUpdates:

@@ -160,7 +160,39 @@ class TestScoreEndpoint:
     def test_bad_text_line_is_400_with_line_number(self, harness):
         status, _, payload = harness.request("POST", "/score", body="1 2\n1 x\n")
         assert status == 400
-        assert "line 2" in json.loads(payload)["error"]
+        error = json.loads(payload)["error"]
+        assert error.startswith("pair line 2: vertex v: non-integer id 'x'")
+        assert error.count("line 2") == 1
+
+    def test_text_delete_line_is_400(self, harness):
+        status, _, payload = harness.request("POST", "/score", body="# c\n- 1 2\n")
+        assert status == 400
+        assert json.loads(payload)["error"].startswith("pair line 2: op: 'delete'")
+
+    @pytest.mark.parametrize(
+        "pairs,index",
+        [
+            ([[1.9, 2]], 0),
+            ([[1, 2], [True, 3]], 1),
+            ([[1, 2], [3, False]], 1),
+            ([["1", "3"]], 0),
+            ([[-1, 2]], 0),
+            ([[1, 2], [3, 2**63]], 1),
+            ([[2.0, 3]], 0),
+            ([[1, 2], [3]], 1),
+            ([[1, 2], 7], 1),
+        ],
+    )
+    def test_json_ids_must_be_json_integers(self, harness, pairs, index):
+        status, _, body = harness.score(pairs)
+        assert status == 400
+        assert body["error"].startswith(f"pairs[{index}]: ")
+        assert "integer ids in [0, 9223372036854775807]" in body["error"]
+
+    def test_json_ids_up_to_the_int64_limit_score(self, harness):
+        status, _, body = harness.score([[0, 2**63 - 1]])
+        assert status == 200
+        assert body["results"][0]["v"] == 2**63 - 1
 
     def test_oversized_batch_is_413(self, harness):
         harness.server.max_request_pairs = 4

@@ -46,10 +46,6 @@ class TestStreamRecordGrammar:
         assert excinfo.value.reason == "bad_op"
         assert "op:" in str(excinfo.value)
 
-    def test_append_only_grammar_rejects_ops(self):
-        with pytest.raises(StreamFormatError):
-            parse_stream_record("- 3 4", accept_ops=False)
-
     def test_edge_view(self):
         record = StreamRecord.delete_edge(5, 6, 2.0)
         assert record.edge == Edge(5, 6, 2.0)
